@@ -92,13 +92,13 @@ grep -q '^lyra_' "$smoke_dir/smoke.prom" || {
 }
 rm -rf "$smoke_dir"
 
-# Perf smoke: the incremental snapshot cache and the legacy from-scratch
-# rebuild must stay observationally identical under the same seed, full
-# observation (event log + telemetry sampling) must fit the telemetry
-# overhead budget, and the decision-provenance tracker must cost at
-# most 5 % (+ slack) over plain observation (no hot-path timing at CI
-# scale; the full benchmark is `lyra-bench perf`). The overhead probes
-# append to the history array in BENCH_scheduler.json.
+# Perf smoke: full observation (event log + telemetry sampling) must
+# fit the telemetry overhead budget, the decision-provenance tracker
+# must cost at most 5 % (+ slack) over plain observation, and the
+# reclaim ranking must stay a small share of self time under
+# loan/reclaim churn (no hot-path timing at CI scale; the full
+# benchmark is `lyra-bench perf`). The overhead probes append to the
+# history array in BENCH_scheduler.json.
 ./target/release/lyra-bench perf --smoke
 
 # Golden-trace gate: the pinned scenarios must reproduce the committed

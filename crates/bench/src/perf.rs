@@ -1,16 +1,11 @@
 //! `lyra-bench perf`: the scheduler hot-path benchmark.
 //!
 //! Times scheduler epochs (snapshot maintenance + two-phase allocation +
-//! placement) over a trace-scale Basic scenario via the span profiler,
-//! once with the engine's incremental paths (snapshot cache + the
-//! incremental preemption-cost reclaim engine) and once with the legacy
-//! from-scratch rebuilds, and reports the per-epoch speedup. Both
-//! configurations are first run *observed* under the same seed and must
-//! produce byte-identical event logs and identical reports — the
-//! benchmark refuses to time configurations that diverge.
+//! placement) over a trace-scale Basic scenario via the span profiler
+//! and reports the per-phase breakdown and the mean epoch time.
 //!
-//! `--smoke` runs the divergence gate, the telemetry-overhead budget,
-//! the provenance-overhead budget (the decision-provenance tracker may
+//! `--smoke` runs the telemetry-overhead budget, the
+//! provenance-overhead budget (the decision-provenance tracker may
 //! cost at most 5 % over plain observation) and the reclaim-heavy
 //! probe (gating `core.reclaim`'s self-time share) at Small (CI)
 //! scale; the full run times at paper scale and writes
@@ -39,9 +34,9 @@ const PHASES: &[&str] = &[
     "cluster.reclaim",
 ];
 
-/// Timing of one engine configuration (`BENCH_scheduler.json` schema).
+/// Timing of the scheduler epochs (`BENCH_scheduler.json` schema).
 #[derive(Debug, Serialize)]
-pub struct ModeStats {
+pub struct EpochStats {
     /// Scheduler epochs executed by the timed run.
     pub epochs: u64,
     /// Total wall time inside `sim.scheduler_tick`, seconds.
@@ -214,20 +209,12 @@ fn record_run(report: Option<&PerfReport>, entry: &HistoryEntry) -> Result<(), S
 pub struct PerfReport {
     /// Trace/cluster scale the timing ran at.
     pub scale: String,
-    /// Trace seed (same for both configurations).
+    /// Trace seed.
     pub seed: u64,
     /// Jobs in the trace.
     pub jobs: usize,
-    /// Timing with the incremental snapshot cache.
-    pub incremental: ModeStats,
-    /// Timing with the from-scratch rebuild every epoch.
-    pub from_scratch: ModeStats,
-    /// Mean from-scratch epoch time over mean incremental epoch time.
-    pub speedup: f64,
-    /// The observed same-seed runs produced equal `SimReport`s.
-    pub identical_reports: bool,
-    /// ... and byte-identical event logs.
-    pub identical_event_logs: bool,
+    /// Timing of the fastest timed repetition.
+    pub timing: EpochStats,
     /// Telemetry/observer overhead probe (bare vs observed wall time).
     pub observer: ObserverOverhead,
     /// Provenance overhead probe (observed wall time with the
@@ -243,9 +230,9 @@ fn epoch_stat(profile: &Profile) -> (u64, f64) {
         .map_or((0, 0.0), |p| (p.calls, p.total_s))
 }
 
-fn mode_stats(profile: Profile) -> ModeStats {
+fn epoch_stats(profile: Profile) -> EpochStats {
     let (epochs, total_s) = epoch_stat(&profile);
-    ModeStats {
+    EpochStats {
         epochs,
         total_s,
         mean_ms: if epochs > 0 {
@@ -339,11 +326,11 @@ fn phase_row(stats: &[PhaseStat], name: &str) -> Option<(u64, f64)> {
 }
 
 /// Runs the benchmark; returns the process exit code. `smoke` restricts
-/// to the Small-scale divergence gate (used by ci.sh).
+/// to the Small-scale overhead gates (used by ci.sh).
 pub fn run(smoke: bool) -> i32 {
     // Full is the paper's configuration (15 days, 443 + 520 servers,
-    // ~50k jobs): the trace-scale regime where the legacy from-scratch
-    // rebuild pays an O(all jobs) scan every epoch.
+    // ~50k jobs): the trace-scale regime where the scheduler epoch's
+    // snapshot maintenance and allocation dominate a run.
     let scale = if smoke { Scale::Small } else { Scale::Full };
     let seed = 5;
     let (jobs, inference) = if smoke {
@@ -360,59 +347,30 @@ pub fn run(smoke: bool) -> i32 {
             InferenceTrace::generate(scale.inference_config(seed ^ 0x5A5A)),
         )
     };
-    let mut incremental = Scenario::basic();
-    incremental.cluster = scale.cluster_config();
-    incremental.sim.incremental_snapshot = true;
-    incremental.sim.incremental_reclaim = true;
-    let mut from_scratch = incremental.clone();
-    from_scratch.sim.incremental_snapshot = false;
-    from_scratch.sim.incremental_reclaim = false;
+    let mut scenario = Scenario::basic();
+    scenario.cluster = scale.cluster_config();
 
-    // Time each configuration FIRST, while the process heap is fresh:
-    // the divergence and overhead passes below run fully observed at
-    // trace scale, and the allocator churn they leave behind inflates
-    // timings taken afterwards by ~25% (measured). The modes alternate
-    // across repetitions and each keeps its *fastest* repetition:
-    // transient machine noise (frequency scaling, neighbours) only ever
-    // slows a run down, so the minimum is the stable estimate.
+    // Time FIRST, while the process heap is fresh: the overhead passes
+    // below run fully observed at trace scale, and the allocator churn
+    // they leave behind inflates timings taken afterwards by ~25%
+    // (measured). Keep the *fastest* repetition: transient machine
+    // noise (frequency scaling, neighbours) only ever slows a run down,
+    // so the minimum is the stable estimate.
     let timed = if smoke {
         None
     } else {
         const REPS: usize = 3;
-        run_scenario(&incremental, &jobs, &inference).expect("warmup run");
-        let mut inc: Option<ModeStats> = None;
-        let mut scr: Option<ModeStats> = None;
-        for _ in 0..REPS {
-            let i = mode_stats(timed_run(&incremental, &jobs, &inference));
-            if inc.as_ref().is_none_or(|best| i.mean_ms < best.mean_ms) {
-                inc = Some(i);
-            }
-            let s = mode_stats(timed_run(&from_scratch, &jobs, &inference));
-            if scr.as_ref().is_none_or(|best| s.mean_ms < best.mean_ms) {
-                scr = Some(s);
-            }
-        }
-        Some((inc.expect("timed reps"), scr.expect("timed reps")))
+        run_scenario(&scenario, &jobs, &inference).expect("warmup run");
+        (0..REPS)
+            .map(|_| epoch_stats(timed_run(&scenario, &jobs, &inference)))
+            .min_by(|a, b| a.mean_ms.total_cmp(&b.mean_ms))
     };
 
-    // Divergence gate: under the same seed the two engine configurations
-    // must be observationally indistinguishable.
-    let a = observed(&incremental, &jobs, &inference);
-    let b = observed(&from_scratch, &jobs, &inference);
-    let identical_event_logs = a.events == b.events;
-    let identical_reports = a == b;
-    if !identical_event_logs || !identical_reports {
-        eprintln!(
-            "perf: incremental snapshot DIVERGED from the from-scratch rebuild \
-             (identical logs: {identical_event_logs}, identical reports: {identical_reports})"
-        );
-        return 1;
-    }
     // Telemetry overhead budget: full observation (event log + metrics
     // + audit + telemetry sampling) must stay within a generous
     // multiple of the bare run. Gated in smoke (ci.sh), reported in the
     // full benchmark.
-    let overhead = observer_overhead(&incremental, &jobs, &inference);
+    let overhead = observer_overhead(&scenario, &jobs, &inference);
     println!(
         "observer overhead: {:.3}s bare vs {:.3}s observed ({:.2}x, budget {}x + {}s)",
         overhead.unobserved_s,
@@ -424,7 +382,7 @@ pub fn run(smoke: bool) -> i32 {
     // Provenance overhead budget: the decision-provenance tracker may
     // cost at most 5 % (plus slack) over plain observation. Gated in
     // smoke, reported in the full benchmark.
-    let prov_overhead = provenance_overhead(&incremental, &jobs, &inference);
+    let prov_overhead = provenance_overhead(&scenario, &jobs, &inference);
     println!(
         "provenance overhead: {:.3}s observed vs {:.3}s with provenance \
          ({:.2}x, budget {}x + {}s)",
@@ -470,65 +428,33 @@ pub fn run(smoke: bool) -> i32 {
             return 1;
         }
         println!(
-            "perf smoke: incremental and from-scratch runs identical \
-             ({} jobs, {} events, scale {:?}); telemetry, provenance and \
-             reclaim overheads within budget; probes appended to \
-             BENCH_scheduler.json history",
-            a.completed,
-            a.events.len(),
-            scale
+            "perf smoke: telemetry, provenance and reclaim overheads within budget \
+             ({} jobs, scale {scale:?}); probes appended to BENCH_scheduler.json history",
+            jobs.jobs.len()
         );
         return 0;
     }
 
-    let (inc, scr) = timed.expect("timed benchmark runs in the full configuration");
-    let speedup = if inc.mean_ms > 0.0 {
-        scr.mean_ms / inc.mean_ms
-    } else {
-        0.0
-    };
-
+    let timing = timed.expect("timed benchmark runs in the full configuration");
     println!(
         "scheduler-epoch benchmark ({:?}, seed {seed}, {} jobs, {} epochs)\n",
         scale,
         jobs.jobs.len(),
-        inc.epochs
+        timing.epochs
     );
-    println!(
-        "{:<24} {:>10} {:>14} {:>14}",
-        "phase", "calls", "incremental_s", "from_scratch_s"
-    );
+    println!("{:<24} {:>10} {:>14}", "phase", "calls", "total_s");
     for name in PHASES {
-        let i = phase_row(&inc.phases, name);
-        let s = phase_row(&scr.phases, name);
-        if i.is_none() && s.is_none() {
-            continue;
+        if let Some((calls, total_s)) = phase_row(&timing.phases, name) {
+            println!("{name:<24} {calls:>10} {total_s:>14.6}");
         }
-        println!(
-            "{:<24} {:>10} {:>14.6} {:>14.6}",
-            name,
-            i.or(s).map_or(0, |(c, _)| c),
-            i.map_or(0.0, |(_, t)| t),
-            s.map_or(0.0, |(_, t)| t),
-        );
     }
-    println!(
-        "\nepoch mean: {:.3} ms incremental vs {:.3} ms from scratch → speedup {speedup:.2}x",
-        inc.mean_ms, scr.mean_ms
-    );
-    if speedup < 2.0 {
-        eprintln!("perf: warning: speedup below the 2x target (timing noise or regression)");
-    }
+    println!("\nepoch mean: {:.3} ms", timing.mean_ms);
 
     let report = PerfReport {
         scale: format!("{scale:?}").to_lowercase(),
         seed,
         jobs: jobs.jobs.len(),
-        incremental: inc,
-        from_scratch: scr,
-        speedup,
-        identical_reports,
-        identical_event_logs,
+        timing,
         observer: overhead,
         provenance: prov_overhead,
     };

@@ -16,8 +16,8 @@
 use crate::state::{ClusterError, ClusterState};
 use lyra_core::job::JobId;
 use lyra_core::reclaim::{
-    reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, reclaim_servers, CostModel,
-    ReclaimEngine, ReclaimOutcome, ReclaimRequest,
+    reclaim_exhaustive_optimal, reclaim_random, reclaim_scf, CostModel, ReclaimEngine,
+    ReclaimOutcome, ReclaimRequest,
 };
 use lyra_core::snapshot::ServerId;
 use rand::rngs::StdRng;
@@ -85,12 +85,6 @@ pub struct Orchestrator {
     pub policy: ReclaimPolicy,
     /// Tick interval in seconds (the paper: every five minutes).
     pub interval_s: f64,
-    /// Whether cost-model reclaims (`Lyra`, `GpuFraction`) run through
-    /// the incremental [`ReclaimEngine`] instead of the from-scratch
-    /// greedy. Outcomes are identical (pinned by the core equivalence
-    /// proptest and the perf harness's divergence gate); the flag exists
-    /// as a differential baseline.
-    pub incremental: bool,
     rng: StdRng,
     engine: ReclaimEngine,
 }
@@ -102,12 +96,10 @@ impl Orchestrator {
     pub const OPTIMAL_JOB_LIMIT: usize = 16;
 
     /// Creates an orchestrator with a seeded RNG (used by `Random`).
-    /// Cost-model reclaims default to the incremental engine.
     pub fn new(policy: ReclaimPolicy, seed: u64) -> Self {
         Orchestrator {
             policy,
             interval_s: 300.0,
-            incremental: true,
             rng: StdRng::seed_from_u64(seed),
             engine: ReclaimEngine::new(),
         }
@@ -124,14 +116,30 @@ impl Orchestrator {
         self.rng = StdRng::seed_from_u64(state);
     }
 
-    /// Runs a cost-model reclaim through the incremental engine or the
-    /// from-scratch greedy, per [`Orchestrator::incremental`].
+    /// Runs a cost-model reclaim through the incremental
+    /// [`ReclaimEngine`]. Debug builds check every outcome and audit
+    /// record against the from-scratch greedy
+    /// [`reclaim_servers`](lyra_core::reclaim::reclaim_servers), then
+    /// drop the reference's duplicate audit records.
     fn cost_reclaim(&mut self, request: &ReclaimRequest, model: CostModel) -> ReclaimOutcome {
-        if self.incremental {
-            self.engine.reclaim(request, model)
-        } else {
-            reclaim_servers(request, model)
+        #[cfg(debug_assertions)]
+        let earlier = lyra_obs::audit::drain();
+        let out = self.engine.reclaim(request, model);
+        #[cfg(debug_assertions)]
+        {
+            let audited = lyra_obs::audit::drain();
+            let reference = lyra_core::reclaim::reclaim_servers(request, model);
+            assert_eq!(out, reference, "reclaim engine diverged from the greedy");
+            assert_eq!(
+                audited,
+                lyra_obs::audit::drain(),
+                "reclaim engine audit diverged from the greedy"
+            );
+            for rec in earlier.into_iter().chain(audited) {
+                lyra_obs::audit::record(rec);
+            }
         }
+        out
     }
 
     /// Executes a loan of up to `n` servers (bounded by idle inference
@@ -206,12 +214,12 @@ impl Orchestrator {
                 ReclaimPolicy::Random => reclaim_random(&request, &mut self.rng),
                 ReclaimPolicy::Scf => reclaim_scf(&request),
                 ReclaimPolicy::Optimal => {
-                    if request.jobs.len() <= Self::OPTIMAL_JOB_LIMIT {
+                    let exact = if request.jobs.len() <= Self::OPTIMAL_JOB_LIMIT {
                         reclaim_exhaustive_optimal(&request)
-                            .unwrap_or_else(|| reclaim_servers(&request, CostModel::ServerFraction))
                     } else {
-                        reclaim_servers(&request, CostModel::ServerFraction)
-                    }
+                        None
+                    };
+                    exact.unwrap_or_else(|| self.cost_reclaim(&request, CostModel::ServerFraction))
                 }
             };
             for job in &outcome.preempted {

@@ -38,8 +38,9 @@ use std::path::Path;
 /// speed factors, malleable resize costs and job deadlines; version 5
 /// added the observer's decision-provenance tracker (and the
 /// provenance-bearing event schema: `ReclaimDemand`, `JobPreempt.
-/// decision`, `JobScaleOut.{on_loan,servers}`).
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// decision`, `JobScaleOut.{on_loan,servers}`); version 6 dropped the
+/// persisted `SimConfig`'s two snapshot/reclaim mode switches.
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";
@@ -426,20 +427,22 @@ mod tests {
             Err(CheckpointError::Malformed(_))
         ));
 
-        // Version bump → typed version refusal.
+        // Older or newer format version → typed version refusal.
         let text = String::from_utf8(good.clone()).unwrap();
-        let bumped = text.replacen(
-            &format!("\"version\":{CHECKPOINT_VERSION}"),
-            &format!("\"version\":{}", CHECKPOINT_VERSION + 1),
-            1,
-        );
-        assert_ne!(text, bumped, "version field must appear in the header");
-        std::fs::write(&path, bumped).unwrap();
-        assert!(matches!(
-            SimCheckpoint::load(&path),
-            Err(CheckpointError::VersionMismatch { found, expected })
-                if found == CHECKPOINT_VERSION + 1 && expected == CHECKPOINT_VERSION
-        ));
+        for version in [CHECKPOINT_VERSION - 1, CHECKPOINT_VERSION + 1] {
+            let bumped = text.replacen(
+                &format!("\"version\":{CHECKPOINT_VERSION}"),
+                &format!("\"version\":{version}"),
+                1,
+            );
+            assert_ne!(text, bumped, "version field must appear in the header");
+            std::fs::write(&path, bumped).unwrap();
+            assert!(matches!(
+                SimCheckpoint::load(&path),
+                Err(CheckpointError::VersionMismatch { found, expected })
+                    if found == version && expected == CHECKPOINT_VERSION
+            ));
+        }
 
         // Not a checkpoint at all → malformed, and a missing file → Io.
         std::fs::write(&path, "{\"magic\":\"something-else\",\"version\":1,\"checksum\":\"0\"}\n{}\n").unwrap();

@@ -1079,22 +1079,21 @@ mod tests {
             .all(|j| j.curve == ScalingCurve::PerWorkerLoss { loss: 0.2 }));
     }
 
-    // Satellite invariant of the incremental-snapshot overhaul and the
-    // incremental reclaim engine: after an arbitrary event sequence
-    // (arrivals, launches, scaling, loaning, reclaims, crashes, worker
-    // failures, stragglers, dropped ticks) the incrementally-maintained
-    // snapshot *and* the incremental preemption-cost engine must drive
-    // the exact same run as rebuilding from scratch every epoch / every
-    // reclaim. The engine's `cfg(test)` per-epoch assertion additionally
-    // checks snapshot equality at every single tick of the incremental
-    // run.
+    // Random runs through an arbitrary event sequence (arrivals,
+    // launches, scaling, loaning, reclaims, crashes, worker failures,
+    // stragglers, dropped ticks). The comparison happens inside the
+    // run: the engine's `cfg(test)` assertion checks the snapshot cache
+    // against a from-scratch rebuild at every epoch, and the
+    // orchestrator's debug-build assertion checks every cost-model
+    // reclaim (outcome and audit records) against the from-scratch
+    // greedy.
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 8,
             ..proptest::prelude::ProptestConfig::default()
         })]
         #[test]
-        fn incremental_snapshot_reproduces_from_scratch_runs(
+        fn random_runs_match_reference_snapshot_and_reclaim(
             seed in 0u64..1024,
             elastic_fraction in 0.0f64..1.0,
             checkpoint_fraction in 0.0f64..1.0,
@@ -1122,15 +1121,8 @@ mod tests {
                     seed ^ 0xFA11,
                 ));
             }
-            let mut incremental = s.clone();
-            incremental.sim.incremental_snapshot = true;
-            incremental.sim.incremental_reclaim = true;
-            let mut from_scratch = s;
-            from_scratch.sim.incremental_snapshot = false;
-            from_scratch.sim.incremental_reclaim = false;
-            let a = run_scenario(&incremental, &jobs, &inf).expect("incremental runs");
-            let b = run_scenario(&from_scratch, &jobs, &inf).expect("from-scratch runs");
-            proptest::prop_assert_eq!(a, b);
+            let report = run_scenario(&s, &jobs, &inf).expect("random run completes");
+            proptest::prop_assert_eq!(report.submitted, jobs.jobs.len());
         }
     }
 }
