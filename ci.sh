@@ -80,11 +80,17 @@ grep -q 'known causes' "$smoke_dir/cause-err.txt" || {
 ./target/release/lyra-bench events --filter cause=reclaim-preemption \
   --log "$smoke_dir/smoke.jsonl" >/dev/null
 
-# Telemetry smoke: the sparkline dashboard must render from both a live
-# run and a replayed log, and the Prometheus exposition must come out
+# Telemetry smoke: the sparkline dashboard of a live run and of the
+# replayed log of the same Small seed-5 run must be byte-identical (one
+# fold, live and offline), and the Prometheus exposition must come out
 # non-empty with the lyra_ namespace.
-./target/release/lyra-bench timeline >/dev/null
-./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" >/dev/null
+./target/release/lyra-bench timeline >"$smoke_dir/timeline-live.txt"
+./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" \
+  >"$smoke_dir/timeline-log.txt"
+cmp "$smoke_dir/timeline-live.txt" "$smoke_dir/timeline-log.txt" || {
+  echo "ci: timeline of the live run and of its replayed log differ" >&2
+  exit 1
+}
 ./target/release/lyra-bench prom --out "$smoke_dir/smoke.prom"
 grep -q '^lyra_' "$smoke_dir/smoke.prom" || {
   echo "ci: Prometheus exposition is empty or unprefixed" >&2

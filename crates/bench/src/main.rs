@@ -333,29 +333,13 @@ fn export_provenance(log_path: Option<&str>, out: &str) -> ! {
 }
 
 /// `timeline [--log <file.jsonl>] [--width <cols>]`: the sparkline
-/// dashboard. Without `--log` it runs one small observed scenario and
-/// charts the live telemetry; with `--log` it replays a recorded event
-/// log, deriving the (smaller) series set the log supports. Alert
-/// transitions are listed under the chart in both modes.
+/// dashboard of the telemetry folded from an event log — the recorded
+/// `--log`, or a fresh small observed run's. Both render identically
+/// for the same run. Alert transitions are listed under the chart.
 fn timeline_cmd(log_path: Option<&str>, width: usize) -> ! {
-    let (telemetry, alerts) = match log_path {
-        Some(_) => {
-            let jsonl = load_log(log_path);
-            let events = parse_log_or_exit(&jsonl);
-            (
-                lyra_bench::timeline::telemetry_from_log(&events),
-                lyra_bench::timeline::alerts_from_log(&events),
-            )
-        }
-        None => {
-            let report = observed_small_run(None);
-            let events = parse_log_or_exit(&report.events.join("\n"));
-            (
-                report.telemetry,
-                lyra_bench::timeline::alerts_from_log(&events),
-            )
-        }
-    };
+    let events = parse_log_or_exit(&load_log(log_path));
+    let telemetry = lyra_obs::EventFolds::replay(&events).telemetry;
+    let alerts = lyra_bench::timeline::alerts_from_log(&events);
     print!(
         "{}",
         lyra_bench::timeline::render_dashboard(&telemetry, &alerts, width)

@@ -1,14 +1,12 @@
 //! `lyra-bench timeline`: a terminal dashboard of the scheduler's
 //! telemetry series as Unicode sparklines.
 //!
-//! Renders from a live observed run's [`Telemetry`], or — with `--log`
-//! — from a recorded JSONL event log by replaying `SchedulerEpoch`,
-//! `LoanGrant`, `ReclaimGrant`, `JobPreempt` and `ReclaimCarryover`
-//! events into a derived telemetry (a strict subset of the live
-//! series: the log carries no GPU-utilisation gauges). Alert
-//! fire/resolve transitions are listed under the chart either way.
-//! Everything here is a pure function of its inputs, so the rendered
-//! dashboard is as deterministic as the series behind it.
+//! Renders the [`Telemetry`] that [`lyra_obs::EventFolds::replay`]
+//! folds from an event log — the same fold the live observer runs, so
+//! a recorded log and a live run of the same seed render identically.
+//! Alert fire/resolve transitions are listed under the chart. Everything
+//! here is a pure function of its inputs, so the rendered dashboard is
+//! as deterministic as the series behind it.
 
 use lyra_obs::timeseries::format_value;
 use lyra_obs::{SchedEvent, Telemetry, TimedEvent};
@@ -91,40 +89,6 @@ pub fn alerts_from_log(events: &[TimedEvent]) -> Vec<AlertLine> {
             _ => None,
         })
         .collect()
-}
-
-/// Replays an event log into a derived [`Telemetry`]: one sample per
-/// `SchedulerEpoch` event, with queue depth and running jobs read off
-/// the epoch summary and loan/reclaim/preemption rates accumulated
-/// from the events since the previous epoch.
-pub fn telemetry_from_log(events: &[TimedEvent]) -> Telemetry {
-    let mut t = Telemetry::default();
-    let (mut loans, mut reclaims, mut preemptions, mut carry) = (0u64, 0u64, 0u64, 0u64);
-    for e in events {
-        match &e.event {
-            SchedEvent::LoanGrant { .. } => loans += 1,
-            SchedEvent::ReclaimGrant { .. } => reclaims += 1,
-            SchedEvent::JobPreempt { .. } => preemptions += 1,
-            SchedEvent::ReclaimCarryover { servers, .. } => carry = u64::from(*servers),
-            SchedEvent::SchedulerEpoch {
-                launches,
-                queued,
-                running,
-            } => {
-                t.begin_epoch(e.time_ms);
-                t.sample_gauge("queue.depth", e.time_ms, f64::from(*queued));
-                t.sample_gauge("jobs.running", e.time_ms, f64::from(*running));
-                t.sample_gauge("epoch.launches", e.time_ms, f64::from(*launches));
-                t.sample_gauge("reclaim.carry_servers", e.time_ms, carry as f64);
-                t.sample_rate("rate.loans", e.time_ms, loans);
-                t.sample_rate("rate.reclaims", e.time_ms, reclaims);
-                t.sample_rate("rate.preemptions", e.time_ms, preemptions);
-                carry = 0;
-            }
-            _ => {}
-        }
-    }
-    t
 }
 
 /// Renders the full dashboard: a header, one sparkline row per series
@@ -210,6 +174,7 @@ fn histogram_line(counts: &[u64], bounds: &[f64], total: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lyra_obs::EpochSample;
 
     #[test]
     fn sparkline_scales_to_range_and_width() {
@@ -230,17 +195,16 @@ mod tests {
             seq,
             event,
         };
+        let epoch = |queued, running| {
+            SchedEvent::SchedulerEpoch(EpochSample {
+                queued,
+                running,
+                ..EpochSample::default()
+            })
+        };
         let events = vec![
             mk(0, 0, SchedEvent::LoanGrant { servers: vec![1, 2] }),
-            mk(
-                1000,
-                1,
-                SchedEvent::SchedulerEpoch {
-                    launches: 2,
-                    queued: 5,
-                    running: 3,
-                },
-            ),
+            mk(1000, 1, epoch(5, 3)),
             mk(
                 1500,
                 2,
@@ -261,21 +225,17 @@ mod tests {
                     fired: true,
                 },
             ),
-            mk(
-                2000,
-                4,
-                SchedEvent::SchedulerEpoch {
-                    launches: 0,
-                    queued: 6,
-                    running: 2,
-                },
-            ),
+            mk(2000, 4, epoch(6, 2)),
         ];
-        let t = telemetry_from_log(&events);
+        let mut t = Telemetry::default();
+        for e in &events {
+            t.observe(e.time_ms, &e.event);
+        }
         assert_eq!(t.epochs, 2);
         assert_eq!(t.latest("queue.depth"), Some(6.0));
-        assert_eq!(t.latest("rate.loans"), Some(0.0)); // both loans landed before epoch 1
+        assert_eq!(t.latest("rate.loans"), Some(0.0)); // the loan landed before epoch 1
         assert_eq!(t.latest("rate.preemptions"), Some(1.0));
+        assert_eq!(t, lyra_obs::EventFolds::replay(&events).telemetry);
         let alerts = alerts_from_log(&events);
         assert_eq!(alerts.len(), 1);
         assert!(alerts[0].fired);

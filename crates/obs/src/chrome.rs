@@ -30,10 +30,11 @@
 
 use serde::Value;
 
+use crate::attribution::JobAttribution;
 use crate::event::{SchedEvent, TimedEvent};
+use crate::fold::EventFolds;
 use crate::graph::EdgeKind;
 use crate::lifecycle::attribute_log;
-use crate::provenance::build_provenance;
 
 const PID_JOBS: u64 = 1;
 const PID_SCHED: u64 = 2;
@@ -117,12 +118,12 @@ impl TraceBuilder {
 /// Exports a parsed event log as Chrome `trace_event` JSON (one event
 /// per line inside `traceEvents`, so pinned traces diff readably).
 pub fn export_chrome_trace(events: &[TimedEvent]) -> String {
-    build_trace(events).render()
+    build_trace(events, &attribute_log(events)).render()
 }
 
-/// Builds the standard trace (lifelines, markers, counters, epoch
-/// spans) without rendering, so layered exporters can add to it.
-fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
+/// Builds the standard trace (lifelines from `attrs`, markers, counters,
+/// epoch spans) without rendering, so layered exporters can add to it.
+fn build_trace(events: &[TimedEvent], attrs: &[JobAttribution]) -> TraceBuilder {
     let mut b = TraceBuilder::new();
     b.meta(PID_JOBS, 0, "process_name", "jobs");
     b.meta(PID_SCHED, 0, "process_name", "scheduler");
@@ -130,8 +131,7 @@ fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
     b.meta(PID_SCHED, 1, "thread_name", "epochs");
 
     // Job lifelines: one B/E span per attributed interval.
-    let attrs = attribute_log(events);
-    for a in &attrs {
+    for a in attrs {
         let tid = a.job + 1; // tid 0 is reserved for process metadata
         b.meta(PID_JOBS, tid, "thread_name", &format!("job {}", a.job));
         for iv in &a.intervals {
@@ -204,12 +204,8 @@ fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
                     ]),
                 );
             }
-            SchedEvent::SchedulerEpoch {
-                launches,
-                queued,
-                running,
-            } => {
-                epochs.push((ts, *launches, *queued, *running));
+            SchedEvent::SchedulerEpoch(epoch) => {
+                epochs.push((ts, epoch.launches, epoch.queued, epoch.running));
                 b.push(
                     ts,
                     "C",
@@ -222,8 +218,8 @@ fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
                         (
                             "args",
                             obj(vec![
-                                ("queued", vu(u64::from(*queued))),
-                                ("running", vu(u64::from(*running))),
+                                ("queued", vu(u64::from(epoch.queued))),
+                                ("running", vu(u64::from(epoch.running))),
                             ]),
                         ),
                     ]),
@@ -359,8 +355,9 @@ fn build_trace(events: &[TimedEvent]) -> TraceBuilder {
 /// ids are assigned in deterministic edge order, so same-seed exports
 /// are byte-identical.
 pub fn export_provenance_trace(events: &[TimedEvent]) -> String {
-    let mut b = build_trace(events);
-    let graph = build_provenance(events);
+    let folds = EventFolds::replay(events);
+    let mut b = build_trace(events, &folds.lifecycle.attributions());
+    let graph = folds.into_graph();
     let mut flow_id = 0u64;
     for e in graph.edges() {
         let name = match e.kind {
@@ -527,6 +524,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<ChromeTraceStats, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EpochSample;
 
     fn sample_log() -> Vec<TimedEvent> {
         let raw = vec![
@@ -548,11 +546,11 @@ mod tests {
             ),
             (
                 1_000,
-                SchedEvent::SchedulerEpoch {
+                SchedEvent::SchedulerEpoch(EpochSample {
                     launches: 1,
-                    queued: 0,
                     running: 1,
-                },
+                    ..EpochSample::default()
+                }),
             ),
             (
                 5_000,

@@ -172,16 +172,10 @@ pub enum SchedEvent {
         /// Worker-weighted slowdown factor (`< 1.0` while straggling).
         factor: f64,
     },
-    /// End-of-epoch scheduler summary, emitted when the state changed
-    /// since the last emission.
-    SchedulerEpoch {
-        /// Jobs launched this epoch.
-        launches: u32,
-        /// Pending-queue depth after the epoch.
-        queued: u32,
-        /// Running jobs after the epoch.
-        running: u32,
-    },
+    /// End-of-epoch scheduler summary, emitted every epoch. It carries
+    /// every gauge the telemetry fold samples, so a replayed log
+    /// rebuilds the live series exactly.
+    SchedulerEpoch(EpochSample),
     /// A fault-injection event; `kind` names the `FaultStats` counter it
     /// increments.
     Fault {
@@ -212,6 +206,43 @@ pub enum SchedEvent {
         /// `true` on fire, `false` on resolve.
         fired: bool,
     },
+}
+
+/// The engine state one scheduler epoch leaves behind, as carried by
+/// [`SchedEvent::SchedulerEpoch`]. Utilisation gauges travel as raw GPU
+/// counts; [`Telemetry`](crate::Telemetry) performs the division.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct EpochSample {
+    /// Jobs launched this epoch.
+    pub launches: u32,
+    /// Pending-queue depth after the epoch.
+    pub queued: u32,
+    /// Running jobs after the epoch.
+    pub running: u32,
+    /// Base GPU demand of the pending queue.
+    pub queued_gpus: u64,
+    /// Busy GPUs in the dedicated training pool.
+    pub training_used: u32,
+    /// GPUs in the dedicated training pool.
+    pub training_total: u32,
+    /// Busy GPUs on loaned servers.
+    pub loaned_used: u32,
+    /// GPUs on loaned servers.
+    pub loaned_total: u32,
+    /// Busy GPUs on loaned servers of the flexible group.
+    pub flexible_used: u32,
+    /// Workers of the running elastic jobs.
+    pub elastic_workers: u32,
+    /// Servers on loan.
+    pub loaned_servers: u32,
+    /// Reclaim debt carried over, servers.
+    pub carry_servers: u32,
+    /// Cluster fragmentation index (see
+    /// `ClusterState::fragmentation_index`).
+    pub fragmentation: f64,
+    /// Modelled control-plane latency accrued since the previous
+    /// epoch, milliseconds.
+    pub latency_ms: f64,
 }
 
 /// Every `kind_name()` a [`SchedEvent`] can report, in declaration

@@ -18,12 +18,12 @@
 //!   simulated hour, so time series come from one place instead of
 //!   bespoke report fields.
 //! * [`timeseries`] + [`alerts`] + [`prom`] — **continuous telemetry**:
-//!   per-epoch scheduler health gauges sampled into fixed-capacity ring
-//!   series with deterministic decimation (bounded memory at 1M-job
-//!   scale), fixed log2-bucket histograms, a threshold/sustained-window
-//!   alert engine emitting typed `Alert` events into the log, and
-//!   Prometheus text exposition + CSV export — all byte-reproducible
-//!   under the same seed.
+//!   per-epoch scheduler health gauges, folded from the `SchedulerEpoch`
+//!   events into fixed-capacity ring series with deterministic
+//!   decimation (bounded memory at 1M-job scale), fixed log2-bucket
+//!   histograms, a threshold/sustained-window alert engine emitting
+//!   typed `Alert` events into the log, and Prometheus text exposition +
+//!   CSV export — all byte-reproducible under the same seed.
 //! * [`span`] — **span timing** for the hot paths (MCKP DP, best-fit
 //!   placement, reclaim cost search, engine ticks), aggregated into a
 //!   per-phase self-time profile.
@@ -31,8 +31,14 @@
 //!   MCKP allocations, placement and reclaim choices record their inputs
 //!   so [`explain`] can reconstruct the causal chain for one job.
 //!
+//! Every derived view is one fold over the event stream: [`fold`]'s
+//! [`EventFolds`] feeds each event to the attribution, provenance and
+//! telemetry state, online inside the simulation observer and offline
+//! through [`EventFolds::replay`] — so a replayed log yields exactly the
+//! live views.
+//!
 //! On top of the event log sits the **causal delay-attribution layer**:
-//! [`lifecycle`] replays the stream through a per-job state machine,
+//! [`lifecycle`] folds the stream through a per-job state machine,
 //! [`attribution`] decomposes every job's completion time into
 //! cause-attributed intervals that reconcile exactly (Σ intervals ==
 //! completion − arrival, checked end-of-run), and [`chrome`] exports
@@ -62,6 +68,7 @@ pub mod audit;
 pub mod chrome;
 pub mod event;
 pub mod explain;
+pub mod fold;
 pub mod graph;
 pub mod lifecycle;
 pub mod log;
@@ -83,8 +90,9 @@ pub use audit::{
 pub use chrome::{
     export_chrome_trace, export_provenance_trace, validate_chrome_trace, ChromeTraceStats,
 };
-pub use event::{SchedEvent, TimedEvent, KIND_NAMES};
+pub use event::{EpochSample, SchedEvent, TimedEvent, KIND_NAMES};
 pub use explain::{explain_job, parse_log};
+pub use fold::EventFolds;
 pub use graph::{
     DecisionId, EdgeKind, NodeKind, ProvenanceEdge, ProvenanceGraph, ProvenanceNode,
 };

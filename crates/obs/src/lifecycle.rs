@@ -1,9 +1,9 @@
 //! Per-job lifecycle tracking: the event stream → attributed intervals.
 //!
-//! [`LifecycleTracker`] replays [`SchedEvent`]s — online inside the
-//! simulation observer (so ring-buffer drops cannot lose attribution),
-//! or offline over a parsed JSONL log — and drives a small per-job state
-//! machine:
+//! [`LifecycleTracker`] is one of the [`EventFolds`]: it consumes
+//! [`SchedEvent`]s — online inside the simulation observer (so
+//! ring-buffer drops cannot lose attribution), or offline over a parsed
+//! JSONL log — and drives a small per-job state machine:
 //!
 //! ```text
 //! pending ──start──▶ running ──preempt/fault──▶ pending ──start──▶ …
@@ -28,6 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::attribution::{AttributedInterval, DelayCause, JobAttribution};
 use crate::event::{SchedEvent, TimedEvent};
+use crate::fold::EventFolds;
 
 /// A pending stall window `[start_ms, end_ms)` with its cause, not yet
 /// folded into a closed segment.
@@ -141,8 +142,8 @@ impl JobLife {
 ///
 /// Feed events in emission order via [`observe`](Self::observe), then
 /// call [`finish`](Self::finish) once with the end-of-observation time;
-/// [`into_attributions`](Self::into_attributions) yields the
-/// decompositions sorted by job id.
+/// [`attributions`](Self::attributions) yields the decompositions
+/// sorted by job id.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct LifecycleTracker {
     jobs: BTreeMap<u64, JobLife>,
@@ -243,32 +244,25 @@ impl LifecycleTracker {
         self.finished = true;
     }
 
-    /// Consumes the tracker, yielding per-job attributions sorted by id.
-    /// Call [`finish`](Self::finish) first.
-    pub fn into_attributions(self) -> Vec<JobAttribution> {
+    /// Per-job attributions sorted by id. Call [`finish`](Self::finish)
+    /// first.
+    pub fn attributions(&self) -> Vec<JobAttribution> {
         self.jobs
-            .into_iter()
+            .iter()
             .map(|(job, life)| JobAttribution {
-                job,
+                job: *job,
                 arrival_ms: life.arrival_ms,
                 completion_ms: life.completion_ms,
-                intervals: life.intervals,
+                intervals: life.intervals.clone(),
             })
             .collect()
     }
 }
 
-/// Convenience: replays a parsed log end-to-end and returns the per-job
-/// attributions (end of observation = last event timestamp).
+/// The per-job attributions of a parsed log: the lifecycle view of
+/// [`EventFolds::replay`].
 pub fn attribute_log(events: &[TimedEvent]) -> Vec<JobAttribution> {
-    let mut tracker = LifecycleTracker::new();
-    let mut last_ms = 0;
-    for ev in events {
-        tracker.observe(ev.time_ms, &ev.event);
-        last_ms = last_ms.max(ev.time_ms);
-    }
-    tracker.finish(last_ms);
-    tracker.into_attributions()
+    EventFolds::replay(events).lifecycle.attributions()
 }
 
 #[cfg(test)]

@@ -2,13 +2,12 @@
 //! the live event stream, or offline from any JSONL log, and rendering
 //! it (`why`, `blame`).
 //!
-//! The tracker mirrors [`LifecycleTracker`](crate::LifecycleTracker):
-//! it consumes `(time_ms, seq, &SchedEvent)` triples in emission order.
-//! The engine feeds it as each event is emitted (online); offline,
-//! [`build_provenance`] feeds a fresh tracker from a parsed log. Both
-//! paths run the exact same transition function over the exact same
-//! `(seq, event)` stream, so online ≡ offline holds by construction —
-//! and is pinned by a differential test in `lyra-sim`.
+//! The tracker is one of the [`EventFolds`]: it consumes
+//! `(time_ms, seq, &SchedEvent)` triples in emission order, online as
+//! the engine emits each event or offline through
+//! [`EventFolds::replay`]. Both paths run the same transition function
+//! over the same `(seq, event)` stream, so online ≡ offline holds by
+//! construction — and is pinned by a property test in `lyra-sim`.
 //!
 //! # DecisionId stability
 //!
@@ -25,8 +24,8 @@ use serde::{Deserialize, Serialize};
 use crate::attribution::{fmt_s, DelayCause, JobAttribution};
 use crate::audit::AuditRecord;
 use crate::event::{SchedEvent, TimedEvent};
+use crate::fold::EventFolds;
 use crate::graph::{DecisionId, EdgeKind, NodeKind, ProvenanceGraph, ProvenanceNode};
-use crate::lifecycle::attribute_log;
 
 /// Builds a [`ProvenanceGraph`] incrementally from an event stream.
 ///
@@ -202,17 +201,11 @@ impl ProvenanceTracker {
     }
 }
 
-/// Builds the provenance graph offline from a parsed JSONL log.
-///
-/// Runs the same transition function the online tracker runs, over the
-/// persisted `(seq, event)` stream, so the result is identical to the
-/// graph the live observer built.
+/// The provenance graph of a parsed JSONL log: the provenance view of
+/// [`EventFolds::replay`], identical to the graph the live observer
+/// built.
 pub fn build_provenance(events: &[TimedEvent]) -> ProvenanceGraph {
-    let mut tracker = ProvenanceTracker::new();
-    for ev in events {
-        tracker.observe(ev.time_ms, ev.seq, &ev.event);
-    }
-    tracker.into_graph()
+    EventFolds::replay(events).into_graph()
 }
 
 /// The node a delay interval is anchored on: the decision (or fault)
@@ -303,11 +296,12 @@ pub fn render_why(
     Ok(out)
 }
 
-/// [`render_why`] over a parsed log: builds the graph and attributions
-/// offline, then renders. Byte-identical to the live-run rendering of
-/// the same events.
+/// [`render_why`] over a parsed log, replayed once. Byte-identical to
+/// the live-run rendering of the same events.
 pub fn why_from_log(events: &[TimedEvent], job: u64) -> Result<String, String> {
-    render_why(&build_provenance(events), &attribute_log(events), job)
+    let folds = EventFolds::replay(events);
+    let attrs = folds.lifecycle.attributions();
+    render_why(&folds.into_graph(), &attrs, job)
 }
 
 /// Renders the blame table: reclaim decisions ranked by the total
@@ -378,9 +372,11 @@ pub fn render_blame(graph: &ProvenanceGraph, attrs: &[JobAttribution], top: usiz
     out
 }
 
-/// [`render_blame`] over a parsed log.
+/// [`render_blame`] over a parsed log, replayed once.
 pub fn blame_from_log(events: &[TimedEvent], top: usize) -> String {
-    render_blame(&build_provenance(events), &attribute_log(events), top)
+    let folds = EventFolds::replay(events);
+    let attrs = folds.lifecycle.attributions();
+    render_blame(&folds.into_graph(), &attrs, top)
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
 //! Deterministic, bounded-memory time series for scheduler health.
 //!
-//! The simulator samples a fixed set of gauges once per scheduler epoch
-//! (queue depth, utilization split, loaned capacity, reclaim backlog,
-//! fragmentation, …) into [`RingSeries`] — fixed-capacity series with
+//! [`Telemetry`] is a fold over the event stream: each
+//! `SchedulerEpoch` event samples a fixed set of gauges (queue depth,
+//! utilization split, loaned capacity, reclaim backlog, fragmentation,
+//! …) plus the loan, reclaim and preemption events counted since the
+//! previous epoch into [`RingSeries`] — fixed-capacity series with
 //! *deterministic decimation*: when a series fills, every other retained
 //! point is dropped and the sampling stride doubles. The retained point
 //! set is a pure function of the sample sequence, so same-seed runs
@@ -18,6 +20,8 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
+
+use crate::event::{EpochSample, SchedEvent};
 
 /// Default per-series point capacity. At one sample per 30-second epoch
 /// this holds ~4 hours at full rate, a week at stride 64, and years at
@@ -169,8 +173,18 @@ impl Log2Histogram {
     }
 }
 
+/// Events counted since the previous epoch, backing the `rate.*`
+/// series.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+struct RateCounts {
+    loans: u64,
+    reclaims: u64,
+    preemptions: u64,
+}
+
 /// The per-run telemetry store: named ring series plus the two fixed
-/// epoch histograms.
+/// epoch histograms, folded from the event stream by
+/// [`observe`](Self::observe).
 ///
 /// Everything here is `serde`-serialisable and enters the engine
 /// checkpoint, so a restored run continues sampling exactly where the
@@ -184,8 +198,11 @@ pub struct Telemetry {
     pub epochs: u64,
     /// Named gauge series, in stable (sorted) order.
     series: BTreeMap<String, RingSeries>,
-    /// Previous cumulative counter values backing the `rate.*` series.
-    prev_counters: BTreeMap<String, u64>,
+    /// Loan, reclaim and preemption events since the previous epoch.
+    rates: RateCounts,
+    /// When the open reclaim carry was first sampled, for
+    /// `reclaim.backlog_age_s`; `None` while no debt is open.
+    carry_since_ms: Option<u64>,
     /// Simulated time of the previous epoch sample, if any.
     last_sample_ms: Option<u64>,
     /// Simulated span between consecutive epoch samples, milliseconds.
@@ -208,13 +225,66 @@ impl Telemetry {
             capacity,
             epochs: 0,
             series: BTreeMap::new(),
-            prev_counters: BTreeMap::new(),
+            rates: RateCounts::default(),
+            carry_since_ms: None,
             last_sample_ms: None,
             // 1 ms .. ~17.9 min covers epoch spans from sub-second
             // control loops to hourly housekeeping ticks.
             epoch_span_ms: Log2Histogram::new(0, 20),
             // 1 ms .. ~65 s covers modelled control-plane latencies.
             decision_latency_ms: Log2Histogram::new(0, 16),
+        }
+    }
+
+    /// Folds one event at simulated `t_ms`: `LoanGrant`, `ReclaimGrant`
+    /// and `JobPreempt` are counted, and each `SchedulerEpoch` samples
+    /// its gauges, the counted rates and its decision latency.
+    pub fn observe(&mut self, t_ms: u64, event: &SchedEvent) {
+        match event {
+            SchedEvent::LoanGrant { .. } => self.rates.loans += 1,
+            SchedEvent::ReclaimGrant { .. } => self.rates.reclaims += 1,
+            SchedEvent::JobPreempt { .. } => self.rates.preemptions += 1,
+            SchedEvent::SchedulerEpoch(epoch) => self.sample_epoch(t_ms, epoch),
+            _ => {}
+        }
+    }
+
+    fn sample_epoch(&mut self, t_ms: u64, e: &EpochSample) {
+        self.begin_epoch(t_ms);
+        self.decision_latency_ms.observe(e.latency_ms);
+        let backlog_age_s = if e.carry_servers > 0 {
+            let since = *self.carry_since_ms.get_or_insert(t_ms);
+            t_ms.saturating_sub(since) as f64 / 1000.0
+        } else {
+            self.carry_since_ms = None;
+            0.0
+        };
+        let ratio = |used: u32, total: u32| {
+            if total == 0 {
+                0.0
+            } else {
+                f64::from(used) / f64::from(total)
+            }
+        };
+        let rates = std::mem::take(&mut self.rates);
+        let samples = [
+            ("util.dedicated", ratio(e.training_used, e.training_total)),
+            ("util.loaned", ratio(e.loaned_used, e.loaned_total)),
+            ("util.flexible", ratio(e.flexible_used, e.loaned_total)),
+            ("queue.depth", f64::from(e.queued)),
+            ("queue.gpus", e.queued_gpus as f64),
+            ("jobs.running", f64::from(e.running)),
+            ("elastic.workers", f64::from(e.elastic_workers)),
+            ("cluster.loaned_servers", f64::from(e.loaned_servers)),
+            ("reclaim.carry_servers", f64::from(e.carry_servers)),
+            ("reclaim.backlog_age_s", backlog_age_s),
+            ("frag.index", e.fragmentation),
+            ("rate.loans", rates.loans as f64),
+            ("rate.preemptions", rates.preemptions as f64),
+            ("rate.reclaims", rates.reclaims as f64),
+        ];
+        for (name, value) in samples {
+            self.sample_gauge(name, t_ms, value);
         }
     }
 
@@ -236,19 +306,6 @@ impl Telemetry {
             .entry(name.to_string())
             .or_insert_with(|| RingSeries::new(cap))
             .record(t_ms, value);
-    }
-
-    /// Samples a per-epoch *rate* derived from a cumulative counter: the
-    /// recorded value is the delta since this method last saw `name`.
-    pub fn sample_rate(&mut self, name: &str, t_ms: u64, cumulative: u64) {
-        let prev = self.prev_counters.insert(name.to_string(), cumulative);
-        let delta = cumulative.saturating_sub(prev.unwrap_or(0));
-        self.sample_gauge(name, t_ms, delta as f64);
-    }
-
-    /// Records one modelled decision latency observation, milliseconds.
-    pub fn observe_decision_latency(&mut self, latency_ms: f64) {
-        self.decision_latency_ms.observe(latency_ms);
     }
 
     /// Series names in stable sorted order.
@@ -365,20 +422,71 @@ mod tests {
         assert_eq!(h.count, 4);
     }
 
+    fn epoch(queued: u32) -> SchedEvent {
+        SchedEvent::SchedulerEpoch(EpochSample {
+            queued,
+            ..EpochSample::default()
+        })
+    }
+
     #[test]
-    fn rate_series_records_counter_deltas() {
+    fn rate_series_count_events_since_the_last_epoch() {
         let mut t = Telemetry::new(16);
-        t.sample_rate("rate.loans", 0, 3);
-        t.sample_rate("rate.loans", 1000, 5);
-        t.sample_rate("rate.loans", 2000, 5);
-        let pts: Vec<f64> = t
-            .series("rate.loans")
-            .expect("series exists")
-            .points()
-            .iter()
-            .map(|p| p.value)
-            .collect();
-        assert_eq!(pts, vec![3.0, 2.0, 0.0]);
+        let loan = SchedEvent::LoanGrant { servers: vec![1] };
+        let preempt = SchedEvent::JobPreempt {
+            job: 9,
+            checkpointed: false,
+            decision: None,
+        };
+        let tick = epoch(0);
+        for ev in [&loan, &loan, &loan, &tick, &loan, &preempt, &loan, &tick, &tick] {
+            t.observe(0, ev);
+        }
+        let values = |name: &str| -> Vec<f64> {
+            t.series(name)
+                .expect("series exists")
+                .points()
+                .iter()
+                .map(|p| p.value)
+                .collect()
+        };
+        assert_eq!(values("rate.loans"), vec![3.0, 2.0, 0.0]);
+        assert_eq!(values("rate.preemptions"), vec![0.0, 1.0, 0.0]);
+        assert_eq!(values("rate.reclaims"), vec![0.0, 0.0, 0.0]);
+        assert_eq!(t.epochs, 3);
+    }
+
+    #[test]
+    fn epoch_events_sample_ratios_and_backlog_age() {
+        let mut t = Telemetry::new(16);
+        let sample = |carry_servers| {
+            SchedEvent::SchedulerEpoch(EpochSample {
+                queued: 5,
+                training_used: 24,
+                training_total: 32,
+                loaned_used: 4,
+                loaned_total: 16,
+                flexible_used: 2,
+                carry_servers,
+                latency_ms: 3.0,
+                ..EpochSample::default()
+            })
+        };
+        t.observe(0, &sample(0));
+        t.observe(30_000, &sample(2));
+        t.observe(90_000, &sample(1));
+        assert_eq!(t.latest("util.dedicated"), Some(0.75));
+        assert_eq!(t.latest("util.loaned"), Some(0.25));
+        assert_eq!(t.latest("util.flexible"), Some(0.125));
+        assert_eq!(t.latest("queue.depth"), Some(5.0));
+        // The debt opened at 30 s and is still open at 90 s.
+        assert_eq!(t.latest("reclaim.backlog_age_s"), Some(60.0));
+        t.observe(120_000, &sample(0));
+        assert_eq!(t.latest("reclaim.backlog_age_s"), Some(0.0));
+        assert_eq!(t.decision_latency_ms.count, 4);
+        // Non-epoch events sample nothing.
+        t.observe(150_000, &SchedEvent::JobAdmit { job: 1 });
+        assert_eq!(t.epochs, 4);
     }
 
     #[test]
@@ -410,11 +518,13 @@ mod tests {
     fn serde_round_trip_preserves_state() {
         let mut t = Telemetry::new(8);
         for i in 0..100u64 {
-            t.begin_epoch(i * 500);
-            t.sample_gauge("queue.depth", i * 500, (i % 7) as f64);
-            t.sample_rate("rate.preempt", i * 500, i / 3);
-            t.observe_decision_latency(5.0);
+            if i % 3 == 0 {
+                t.observe(i * 500, &SchedEvent::LoanGrant { servers: vec![2] });
+            }
+            t.observe(i * 500, &epoch((i % 7) as u32));
         }
+        // A loan counted but not yet sampled is state too.
+        t.observe(50_000, &SchedEvent::LoanGrant { servers: vec![3] });
         let json = serde_json::to_string(&t).expect("serialises");
         let back: Telemetry = serde_json::from_str(&json).expect("deserialises");
         assert_eq!(t, back);

@@ -6,17 +6,18 @@
 //! intended or not — shows up as a diff; intended changes are blessed
 //! with `lyra-bench golden --bless`.
 //!
-//! The faulted case additionally pins five artifacts — the
-//! delay-attribution table (`.attribution.txt`), the Chrome
-//! `trace_event` export (`.trace.json`), the rendered decision
-//! provenance for one preemption victim (`.provenance.txt`) and the
-//! flow-annotated provenance trace (`.provenance.json`), all *derived*
-//! from its log, plus the telemetry series export (`.series.csv`)
-//! from the run's report — so a change to the attribution, export,
-//! provenance or telemetry pipeline is caught even when the
-//! underlying event stream is unchanged. Fired alerts are pinned
-//! implicitly: `Alert` events land in the JSONL log like every other
-//! event.
+//! The faulted case additionally pins five artifacts, all *derived*
+//! from its log — the delay-attribution table (`.attribution.txt`),
+//! the Chrome `trace_event` export (`.trace.json`), the rendered
+//! decision provenance for one preemption victim (`.provenance.txt`),
+//! the flow-annotated provenance trace (`.provenance.json`) and the
+//! telemetry series export (`.series.csv`) — so a change to the
+//! attribution, export, provenance or telemetry pipeline is caught even
+//! when the underlying event stream is unchanged. The table, the `why`
+//! rendering and the series come from one replay of the log, and the
+//! replayed series must equal the live run's, so the gate also pins
+//! live ≡ replay for telemetry. Fired alerts are pinned implicitly:
+//! `Alert` events land in the JSONL log like every other event.
 //!
 //! The gate also proves its own teeth: [`mutation_smoke`] flips one
 //! scheduler constant (the phase-2 solver, MCKP DP → greedy ablation)
@@ -106,16 +107,28 @@ impl GoldenCase {
         dir.join(format!("{}.provenance.json", self.name))
     }
 
-    /// Derives the pinned artifacts from a JSONL event log: the
-    /// rendered delay-attribution table, the Chrome `trace_event`
-    /// export (schema-validated before it is returned), the `why`
-    /// rendering for the log's first preemption victim, and the
-    /// flow-annotated provenance trace (also schema-validated).
-    pub fn artifacts(&self, log: &[String]) -> Result<PinnedArtifacts, String> {
-        let events = lyra_obs::parse_log(&log.join("\n"))
+    /// Derives the pinned artifacts from a finished run's event log:
+    /// the rendered delay-attribution table, the `why` rendering for the
+    /// log's first preemption victim and the telemetry series export,
+    /// all from one replay of the log, plus the Chrome `trace_event`
+    /// export and the flow-annotated provenance trace (both
+    /// schema-validated before they are returned). Fails unless the
+    /// replayed series equal the live run's.
+    pub fn artifacts(&self, report: &SimReport) -> Result<PinnedArtifacts, String> {
+        let events = lyra_obs::parse_log(&report.events.join("\n"))
             .map_err(|e| format!("{}: event log does not parse: {e}", self.name))?;
-        let attrs = lyra_obs::attribute_log(&events);
+        let folds = lyra_obs::EventFolds::replay(&events);
+        let attrs = folds.lifecycle.attributions();
         let table = lyra_obs::summarize(&attrs).render_table();
+        let series = folds.telemetry.to_csv();
+        let live_series = report.telemetry.to_csv();
+        if series != live_series {
+            return Err(format!(
+                "{}: replayed telemetry series differ from the live run's: {}",
+                self.name,
+                first_divergence(&live_series, &series)
+            ));
+        }
         let trace = lyra_obs::export_chrome_trace(&events);
         lyra_obs::validate_chrome_trace(&trace)
             .map_err(|e| format!("{}: exported Chrome trace is malformed: {e}", self.name))?;
@@ -131,7 +144,7 @@ impl GoldenCase {
             .ok_or_else(|| {
                 format!("{}: log has no JobPreempt event to anchor provenance on", self.name)
             })?;
-        let why = lyra_obs::why_from_log(&events, victim)
+        let why = lyra_obs::render_why(&folds.into_graph(), &attrs, victim)
             .map_err(|e| format!("{}: {e}", self.name))?;
         let prov_trace = lyra_obs::export_provenance_trace(&events);
         lyra_obs::validate_chrome_trace(&prov_trace)
@@ -141,6 +154,7 @@ impl GoldenCase {
             trace,
             why,
             provenance_trace: prov_trace,
+            series,
         })
     }
 }
@@ -155,6 +169,8 @@ pub struct PinnedArtifacts {
     pub why: String,
     /// Flow-annotated provenance trace.
     pub provenance_trace: String,
+    /// Telemetry series export (CSV long format).
+    pub series: String,
 }
 
 /// The pinned cases. Deliberately small (a day of 64-GPU trace on an
@@ -282,7 +298,7 @@ fn first_divergence(expected: &str, got: &str) -> String {
 pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
     let mut diffs = Vec::new();
     for case in cases() {
-        let (lines, series_csv) = match (case.observed_report(), case.observed_report()) {
+        let report = match (case.observed_report(), case.observed_report()) {
             (Ok(a), Ok(b)) => {
                 if a.events != b.events || a.telemetry != b.telemetry {
                     diffs.push(GoldenDiff {
@@ -291,7 +307,7 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
                     });
                     continue;
                 }
-                (a.events, a.telemetry.to_csv())
+                a
             }
             (Err(e), _) | (_, Err(e)) => {
                 diffs.push(GoldenDiff {
@@ -301,7 +317,7 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
                 continue;
             }
         };
-        let fresh = render(&lines);
+        let fresh = render(&report.events);
         match fs::read_to_string(case.path(dir)) {
             Ok(committed) => {
                 if committed != fresh {
@@ -322,7 +338,7 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
         if !case.pin_artifacts {
             continue;
         }
-        let arts = match case.artifacts(&lines) {
+        let arts = match case.artifacts(&report) {
             Ok(a) => a,
             Err(e) => {
                 diffs.push(GoldenDiff {
@@ -335,7 +351,7 @@ pub fn compare(dir: &Path) -> Vec<GoldenDiff> {
         for (label, path, got) in [
             ("attribution table", case.attribution_path(dir), arts.table),
             ("chrome trace", case.trace_path(dir), arts.trace),
-            ("series export", case.series_path(dir), series_csv),
+            ("series export", case.series_path(dir), arts.series),
             ("provenance rendering", case.provenance_path(dir), arts.why),
             (
                 "provenance trace",
@@ -375,25 +391,22 @@ pub fn bless(dir: &Path) -> Result<Vec<String>, String> {
     let mut written = Vec::new();
     for case in cases() {
         let report = case.observed_report()?;
-        let log = report.events.clone();
         let path = case.path(dir);
-        fs::write(&path, render(&log)).map_err(|e| format!("{}: {e}", path.display()))?;
-        written.push(format!("{} ({} events)", path.display(), log.len()));
+        fs::write(&path, render(&report.events))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        written.push(format!("{} ({} events)", path.display(), report.events.len()));
         if case.pin_artifacts {
-            let arts = case.artifacts(&log)?;
-            let spath = case.series_path(dir);
-            fs::write(&spath, report.telemetry.to_csv())
-                .map_err(|e| format!("{}: {e}", spath.display()))?;
+            let arts = case.artifacts(&report)?;
             for (path, content) in [
                 (case.attribution_path(dir), arts.table),
                 (case.trace_path(dir), arts.trace),
                 (case.provenance_path(dir), arts.why),
                 (case.provenance_trace_path(dir), arts.provenance_trace),
+                (case.series_path(dir), arts.series),
             ] {
                 fs::write(&path, content).map_err(|e| format!("{}: {e}", path.display()))?;
                 written.push(format!("{}", path.display()));
             }
-            written.push(format!("{}", spath.display()));
         }
     }
     Ok(written)
@@ -448,8 +461,7 @@ pub fn provenance_mutation_smoke(dir: &Path) -> Result<(), String> {
         .find(|c| c.name == "tiny-faulty")
         .expect("tiny-faulty golden case exists");
     case.scenario.loaning = Some(ReclaimPolicy::Random);
-    let log = case.event_log()?;
-    let arts = case.artifacts(&log)?;
+    let arts = case.artifacts(&case.observed_report()?)?;
     let committed_why = fs::read_to_string(case.provenance_path(dir))
         .map_err(|e| format!("{} ({e}); bless first", case.provenance_path(dir).display()))?;
     let committed_trace = fs::read_to_string(case.provenance_trace_path(dir)).map_err(|e| {

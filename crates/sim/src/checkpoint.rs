@@ -39,8 +39,10 @@ use std::path::Path;
 /// added the observer's decision-provenance tracker (and the
 /// provenance-bearing event schema: `ReclaimDemand`, `JobPreempt.
 /// decision`, `JobScaleOut.{on_loan,servers}`); version 6 dropped the
-/// persisted `SimConfig`'s two snapshot/reclaim mode switches.
-pub const CHECKPOINT_VERSION: u32 = 6;
+/// persisted `SimConfig`'s two snapshot/reclaim mode switches; version 7
+/// folded the observer's trackers into one `EventFolds` and moved the
+/// telemetry gauges into the every-epoch `SchedulerEpoch` event.
+pub const CHECKPOINT_VERSION: u32 = 7;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

@@ -250,25 +250,13 @@ impl SimJob {
     }
 }
 
-/// Configuration of the attached observer (event log + metrics registry
-/// + decision audit). See [`Simulation::with_observer`].
+/// Configuration of the attached observer (event log, metrics
+/// registry, decision audit trail, telemetry and alerts). See
+/// [`Simulation::with_observer`].
 #[derive(Debug, Clone)]
 pub struct ObserverConfig {
-    /// Event-log ring capacity (most recent lines kept in memory and
-    /// exported in the report's `events`).
-    pub ring_capacity: usize,
     /// Optional JSONL file sink receiving *every* event line.
     pub sink_path: Option<std::path::PathBuf>,
-    /// Record the decision audit trail (phase-1 orderings, MCKP
-    /// allocations, placement and reclaim choices) as `Audit` events.
-    pub audit: bool,
-    /// Per-series retained-point capacity of the telemetry store
-    /// (ring series with deterministic decimation; see
-    /// [`lyra_obs::Telemetry`]).
-    pub telemetry_capacity: usize,
-    /// Alert rules evaluated against the telemetry gauges each epoch;
-    /// fire/resolve transitions become `Alert` events in the log.
-    pub alert_rules: Vec<lyra_obs::AlertRule>,
     /// Build the decision-provenance graph online (checkpoint-safe
     /// observer state; exported in the report's `provenance`).
     pub provenance: bool,
@@ -277,47 +265,34 @@ pub struct ObserverConfig {
 impl Default for ObserverConfig {
     fn default() -> Self {
         ObserverConfig {
-            ring_capacity: 1 << 16,
             sink_path: None,
-            audit: true,
-            telemetry_capacity: lyra_obs::timeseries::DEFAULT_SERIES_CAPACITY,
-            alert_rules: lyra_obs::default_rules(),
             provenance: true,
         }
     }
 }
 
-/// Attached observability state: the structured event log and the
-/// metrics registry with its hourly snapshots.
+/// Event-log ring capacity: the most recent lines kept in memory and
+/// exported in the report's `events`.
+const EVENT_RING_CAPACITY: usize = 1 << 16;
+
+/// Attached observability state: the structured event log, the metrics
+/// registry with its hourly snapshots, and the folds over the emitted
+/// events.
 struct Observer {
     log: EventLog,
     metrics: MetricsRegistry,
     snapshots: Vec<MetricsSnapshot>,
-    audit: bool,
     /// Next simulated hour to snapshot.
     next_hour: u64,
-    /// Online per-job delay attribution. Fed from `emit` so it sees
-    /// every event even when the ring buffer drops old lines.
-    lifecycle: lyra_obs::LifecycleTracker,
-    /// Last emitted `SchedulerEpoch` shape; epochs are only logged when
-    /// (launches, queued, running) changes, keeping quiet periods quiet.
-    last_epoch: Option<(u32, u32, u32)>,
-    /// Per-epoch scheduler-health series (ring buffers with
-    /// deterministic decimation) plus the epoch-span / decision-latency
-    /// histograms.
-    telemetry: lyra_obs::Telemetry,
+    /// Delay attribution, decision provenance and telemetry, fed from
+    /// `emit` with each event's seq (its `DecisionId`), so they see every
+    /// event even when the ring buffer drops old lines.
+    folds: lyra_obs::EventFolds,
     /// Threshold + sustained-window rules over the telemetry gauges.
     alerts: lyra_obs::AlertEngine,
-    /// Cumulative modelled RM latency already folded into the
-    /// decision-latency histogram (per-epoch deltas are observed).
+    /// Cumulative modelled RM latency already reported in a
+    /// `SchedulerEpoch` (each epoch carries the delta).
     rm_latency_seen_s: f64,
-    /// When the current reclaim carry was first sampled, for the
-    /// backlog-age gauge; `None` while no debt is open.
-    carry_since_ms: Option<u64>,
-    /// Online decision-provenance graph builder, fed from `emit` with
-    /// each event's assigned seq (its `DecisionId`); `None` when
-    /// provenance tracking is disabled.
-    provenance: Option<lyra_obs::ProvenanceTracker>,
 }
 
 /// Fixed histogram bucket bounds for job-level durations, seconds
@@ -384,15 +359,10 @@ struct ObserverState {
     log: lyra_obs::EventLogState,
     metrics: MetricsRegistry,
     snapshots: Vec<MetricsSnapshot>,
-    audit: bool,
     next_hour: u64,
-    lifecycle: lyra_obs::LifecycleTracker,
-    last_epoch: Option<(u32, u32, u32)>,
-    telemetry: lyra_obs::Telemetry,
+    folds: lyra_obs::EventFolds,
     alerts: lyra_obs::AlertEngine,
     rm_latency_seen_s: f64,
-    carry_since_ms: Option<u64>,
-    provenance: Option<lyra_obs::ProvenanceTracker>,
 }
 
 /// The complete runtime state of a [`Simulation`] between two events —
@@ -672,7 +642,7 @@ impl Simulation {
     ///
     /// Returns the I/O error when the file sink cannot be created.
     pub fn with_observer(mut self, cfg: ObserverConfig) -> std::io::Result<Self> {
-        let mut log = EventLog::new(cfg.ring_capacity);
+        let mut log = EventLog::new(EVENT_RING_CAPACITY);
         if let Some(path) = &cfg.sink_path {
             log = log.with_sink(path)?;
         }
@@ -683,15 +653,10 @@ impl Simulation {
             log,
             metrics,
             snapshots: Vec::new(),
-            audit: cfg.audit,
             next_hour: 0,
-            lifecycle: lyra_obs::LifecycleTracker::new(),
-            last_epoch: None,
-            telemetry: lyra_obs::Telemetry::new(cfg.telemetry_capacity),
-            alerts: lyra_obs::AlertEngine::new(cfg.alert_rules.clone()),
+            folds: lyra_obs::EventFolds::new(cfg.provenance),
+            alerts: lyra_obs::AlertEngine::default(),
             rm_latency_seen_s: 0.0,
-            carry_since_ms: None,
-            provenance: cfg.provenance.then(lyra_obs::ProvenanceTracker::new),
         });
         Ok(self)
     }
@@ -702,10 +667,7 @@ impl Simulation {
     fn emit(&mut self, ev: SchedEvent) -> Option<u64> {
         if let Some(obs) = self.observer.as_mut() {
             let time_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
-            obs.lifecycle.observe(time_ms, &ev);
-            if let Some(prov) = obs.provenance.as_mut() {
-                prov.observe(time_ms, obs.log.next_seq(), &ev);
-            }
+            obs.folds.observe(time_ms, obs.log.next_seq(), &ev);
             Some(obs.log.emit(time_ms, ev))
         } else {
             None
@@ -779,9 +741,9 @@ impl Simulation {
     }
 
     /// Drains thread-local audit records into `Audit` events (no-op
-    /// unless the observer records the audit trail).
+    /// without an observer).
     fn drain_audit(&mut self) {
-        if !self.observer.as_ref().is_some_and(|o| o.audit) {
+        if self.observer.is_none() {
             return;
         }
         for rec in lyra_obs::audit::drain() {
@@ -795,7 +757,7 @@ impl Simulation {
     /// that follow in the same reclaim wave can stamp `JobPreempt`
     /// events with the decision that picked them.
     fn drain_audit_mapped(&mut self) {
-        if !self.observer.as_ref().is_some_and(|o| o.audit) {
+        if self.observer.is_none() {
             return;
         }
         debug_assert!(
@@ -2000,116 +1962,57 @@ impl Simulation {
         // whitelist move is cheap; the five-minute orchestrator cadence
         // is only needed for decisions involving the inference side).
         self.return_surplus_idle_loans()?;
-        if let Some(obs) = self.observer.as_ref() {
-            let epoch = (
-                launches as u32,
-                self.queue.len() as u32,
-                self.running_jobs.len() as u32,
-            );
-            if obs.last_epoch != Some(epoch) {
-                self.emit(SchedEvent::SchedulerEpoch {
-                    launches: epoch.0,
-                    queued: epoch.1,
-                    running: epoch.2,
-                });
-                if let Some(obs) = self.observer.as_mut() {
-                    obs.last_epoch = Some(epoch);
-                }
-            }
-        }
-        self.sample_telemetry();
+        self.sample_telemetry(launches as u32);
         Ok(launches)
     }
 
-    /// Samples the scheduler-health gauges into the telemetry series and
-    /// evaluates the alert rules — once per scheduler epoch, after all
-    /// of the epoch's bookkeeping (no-op without an observer).
+    /// Emits the epoch's `SchedulerEpoch` — the engine state the
+    /// telemetry fold samples — and evaluates the alert rules against
+    /// the freshly sampled series, once per scheduler epoch after all of
+    /// the epoch's bookkeeping (no-op without an observer).
     ///
     /// Every sampled quantity is simulated or modelled (never
     /// wall-clock), so the series, the histograms and the alert
     /// transitions are a pure function of the seed; all of this state
     /// is checkpointed, so a resumed run samples identically.
-    fn sample_telemetry(&mut self) {
-        if self.observer.is_none() {
+    fn sample_telemetry(&mut self, launches: u32) {
+        let Some(obs) = self.observer.as_mut() else {
             return;
-        }
-        let _timing = lyra_obs::span::span("sim.telemetry_sample");
-        let t_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
-        let (train_used, train_total) = self.cluster.gpu_usage(PoolKind::Training);
-        let (loan_used, loan_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
-        let flex_used = self.cluster.flexible_gpu_usage();
-        let frag = self.cluster.fragmentation_index();
-        let queue_depth = self.queue.len() as f64;
-        let queue_gpus = self.pending_gpus as f64;
-        let running = self.running_jobs.len() as f64;
-        let elastic_workers: u32 = self
-            .running_jobs
-            .iter()
-            .map(|&i| {
-                let j = &self.jobs[i];
-                if j.spec.is_elastic() {
-                    j.workers
-                } else {
-                    0
-                }
-            })
-            .sum();
-        let loaned_servers = f64::from(self.cluster.loaned_count());
-        let carry_servers = self.reclaim_ledger.carry().map_or(0.0, |c| f64::from(c.servers));
-        let rm_latency_s = self.rm.total_latency_s();
-        let ratio = |used: u32, total: u32| {
-            if total == 0 {
-                0.0
-            } else {
-                f64::from(used) / f64::from(total)
-            }
         };
-        let util_dedicated = ratio(train_used, train_total);
-        let util_loaned = ratio(loan_used, loan_total);
-        let util_flexible = ratio(flex_used, loan_total);
-
-        let obs = self.observer.as_mut().expect("checked above");
-        obs.telemetry.begin_epoch(t_ms);
+        let _timing = lyra_obs::span::span("sim.telemetry_sample");
+        let rm_latency_s = self.rm.total_latency_s();
         let latency_ms = (rm_latency_s - obs.rm_latency_seen_s).max(0.0) * 1000.0;
         obs.rm_latency_seen_s = rm_latency_s;
-        obs.telemetry.observe_decision_latency(latency_ms);
-        let backlog_age_s = if carry_servers > 0.0 {
-            let since = *obs.carry_since_ms.get_or_insert(t_ms);
-            (t_ms.saturating_sub(since)) as f64 / 1000.0
-        } else {
-            obs.carry_since_ms = None;
-            0.0
+        let (training_used, training_total) = self.cluster.gpu_usage(PoolKind::Training);
+        let (loaned_used, loaned_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
+        let elastic_workers = self
+            .running_jobs
+            .iter()
+            .map(|&i| &self.jobs[i])
+            .filter(|j| j.spec.is_elastic())
+            .map(|j| j.workers)
+            .sum();
+        let epoch = lyra_obs::EpochSample {
+            launches,
+            queued: self.queue.len() as u32,
+            running: self.running_jobs.len() as u32,
+            queued_gpus: self.pending_gpus,
+            training_used,
+            training_total,
+            loaned_used,
+            loaned_total,
+            flexible_used: self.cluster.flexible_gpu_usage(),
+            elastic_workers,
+            loaned_servers: self.cluster.loaned_count(),
+            carry_servers: self.reclaim_ledger.carry().map_or(0, |c| c.servers),
+            fragmentation: self.cluster.fragmentation_index(),
+            latency_ms,
         };
-        let samples = [
-            ("util.dedicated", util_dedicated),
-            ("util.loaned", util_loaned),
-            ("util.flexible", util_flexible),
-            ("queue.depth", queue_depth),
-            ("queue.gpus", queue_gpus),
-            ("jobs.running", running),
-            ("elastic.workers", f64::from(elastic_workers)),
-            ("cluster.loaned_servers", loaned_servers),
-            ("reclaim.carry_servers", carry_servers),
-            ("reclaim.backlog_age_s", backlog_age_s),
-            ("frag.index", frag),
-        ];
-        for (name, value) in samples {
-            obs.telemetry.sample_gauge(name, t_ms, value);
-        }
-        for (rate, counter) in [
-            ("rate.loans", "cluster.loan.ops"),
-            ("rate.preemptions", "sim.jobs.preemptions"),
-            ("rate.reclaims", "cluster.reclaim.ops"),
-        ] {
-            let cumulative = obs.metrics.counter(counter);
-            obs.telemetry.sample_rate(rate, t_ms, cumulative);
-        }
-        let Observer {
-            ref telemetry,
-            ref mut alerts,
-            ..
-        } = *obs;
-        let transitions = alerts.evaluate(|name| telemetry.latest(name));
+        self.emit(SchedEvent::SchedulerEpoch(epoch));
+        let Some(Observer { folds, alerts, .. }) = self.observer.as_mut() else {
+            return;
+        };
+        let transitions = alerts.evaluate(|name| folds.telemetry.latest(name));
         for tr in transitions {
             self.emit(SchedEvent::Alert {
                 rule: tr.rule,
@@ -2442,15 +2345,10 @@ impl Simulation {
                 log: o.log.capture_state(),
                 metrics: o.metrics.clone(),
                 snapshots: o.snapshots.clone(),
-                audit: o.audit,
                 next_hour: o.next_hour,
-                lifecycle: o.lifecycle.clone(),
-                last_epoch: o.last_epoch,
-                telemetry: o.telemetry.clone(),
+                folds: o.folds.clone(),
                 alerts: o.alerts.clone(),
                 rm_latency_seen_s: o.rm_latency_seen_s,
-                carry_since_ms: o.carry_since_ms,
-                provenance: o.provenance.clone(),
             }),
         }
     }
@@ -2505,15 +2403,10 @@ impl Simulation {
                     .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?,
                 metrics: os.metrics,
                 snapshots: os.snapshots,
-                audit: os.audit,
                 next_hour: os.next_hour,
-                lifecycle: os.lifecycle,
-                last_epoch: os.last_epoch,
-                telemetry: os.telemetry,
+                folds: os.folds,
                 alerts: os.alerts,
                 rm_latency_seen_s: os.rm_latency_seen_s,
-                carry_since_ms: os.carry_since_ms,
-                provenance: os.provenance,
             }),
             None => None,
         };
@@ -2598,9 +2491,9 @@ impl Simulation {
     /// emitting infeasible actions), which indicate bugs rather than
     /// workload conditions.
     pub fn run_to_outcome(mut self, name: &str) -> Result<RunOutcome, SimError> {
-        if let Some(obs) = &self.observer {
+        if self.observer.is_some() {
             lyra_obs::span::set_enabled(true);
-            lyra_obs::audit::set_enabled(obs.audit);
+            lyra_obs::audit::set_enabled(true);
         }
         let n_jobs = self.jobs.len();
         let last_submit = self
@@ -2747,11 +2640,9 @@ impl Simulation {
             return Ok(());
         }
         self.drain_audit();
-        let now_ms = (self.now_s.max(0.0) * 1000.0).round() as u64;
         if let Some(obs) = self.observer.as_mut() {
-            obs.lifecycle.finish(now_ms);
-            let tracker = std::mem::take(&mut obs.lifecycle);
-            let attrs = tracker.into_attributions();
+            obs.folds.finish();
+            let attrs = obs.folds.lifecycle.attributions();
             for a in &attrs {
                 a.reconcile()
                     .map_err(|e| SimError(format!("delay attribution does not reconcile: {e}")))?;
@@ -2863,12 +2754,12 @@ impl Simulation {
             telemetry: self
                 .observer
                 .as_ref()
-                .map(|o| o.telemetry.clone())
+                .map(|o| o.folds.telemetry.clone())
                 .unwrap_or_default(),
             provenance: self
                 .observer
                 .as_ref()
-                .and_then(|o| o.provenance.as_ref())
+                .and_then(|o| o.folds.provenance.as_ref())
                 .map(|p| p.graph().clone())
                 .unwrap_or_default(),
         }

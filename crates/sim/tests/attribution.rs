@@ -4,80 +4,21 @@
 //! ordered, disjoint, gapless partition of `[arrival, completion)` —
 //! the engine itself enforces this at the end of every observed run
 //! (release builds included), and these tests check the same invariant
-//! on the *log-derived* decomposition plus the differential between the
-//! two paths and same-seed byte-identity of the rendered artifacts.
+//! on the *log-derived* decomposition plus same-seed byte-identity of
+//! the rendered artifacts. Live ≡ replay is checked in `folds.rs`.
 
-use lyra_cluster::state::ClusterConfig;
-use lyra_obs::{attribute_log, export_chrome_trace, summarize, validate_chrome_trace};
-use lyra_sim::{
-    run_scenario_observed, transform, FaultConfig, FaultPlan, ObserverConfig, Scenario,
-};
-use lyra_trace::{InferenceTrace, InferenceTraceConfig, JobTrace, TraceConfig};
+mod common;
+
+use common::faulty_scenario;
+use lyra_obs::{attribute_log, export_chrome_trace, validate_chrome_trace};
+use lyra_sim::{run_scenario_observed, ObserverConfig};
 use proptest::prelude::*;
-
-fn traces(seed: u64) -> (JobTrace, InferenceTrace) {
-    let jobs = JobTrace::generate(TraceConfig {
-        days: 1,
-        training_gpus: 32,
-        target_load: 0.6,
-        max_demand_gpus: 16,
-        seed,
-        ..TraceConfig::default()
-    });
-    let inference = InferenceTrace::generate(InferenceTraceConfig {
-        days: 3,
-        total_gpus: 32,
-        seed: seed ^ 0xFACE,
-        ..InferenceTraceConfig::default()
-    });
-    (jobs, inference)
-}
-
-fn cluster() -> ClusterConfig {
-    ClusterConfig {
-        training_servers: 4,
-        inference_servers: 4,
-        gpus_per_server: 8,
-        speed: lyra_core::gpu::SpeedFactors::default(),
-    }
-}
-
-fn faulty_scenario(
-    seed: u64,
-    fault_seed: u64,
-    crash_rate: f64,
-    worker_rate: f64,
-    straggler_rate: f64,
-) -> (Scenario, JobTrace, InferenceTrace) {
-    let (mut jobs, inference) = traces(seed);
-    transform::set_elastic_fraction(&mut jobs, 0.6, seed);
-    transform::set_checkpoint_fraction(&mut jobs, 0.5, seed ^ 1);
-    let mut s = Scenario::basic();
-    s.cluster = cluster();
-    s.seed = seed;
-    s.faults = Some(FaultPlan::generate(
-        &FaultConfig {
-            server_crash_rate_per_day: crash_rate,
-            worker_failure_rate_per_day: worker_rate,
-            straggler_rate_per_day: straggler_rate,
-            checkpoint_restore_failure_prob: 0.2,
-            dropped_tick_prob: 0.05,
-            horizon_s: 86_400.0,
-            ..FaultConfig::default()
-        },
-        s.cluster.training_servers + s.cluster.inference_servers,
-        fault_seed,
-    ));
-    (s, jobs, inference)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every job's attributed intervals are ordered, disjoint and sum
-    /// exactly to `completion − arrival`, whatever faults fired — and
-    /// the log-derived decomposition agrees with the engine's online
-    /// tracker.
+    /// exactly to `completion − arrival`, whatever faults fired.
     #[test]
     fn attribution_partitions_every_job_exactly(
         seed in 0u64..500,
@@ -119,12 +60,6 @@ proptest! {
                     a.job
                 );
             }
-        }
-        // Differential: when the ring kept the whole log and every job
-        // completed, the offline replay must roll up to exactly the
-        // summary the engine computed online.
-        if r.completed == r.submitted && admits == r.submitted {
-            prop_assert_eq!(summarize(&attrs), r.attribution);
         }
     }
 }
