@@ -152,4 +152,11 @@ storm_dir=$(mktemp -d)
 ./target/release/lyra-bench crash-storm --kills 10 --seed 1 --dir "$storm_dir"
 rm -rf "$storm_dir"
 
+# Whole-run benchmark self-tests: the benchmark is a package of its own,
+# outside the workspace, so the workspace tests above do not run them.
+# They pin the printed metric names to BENCHMARK.json and the default
+# seeds' records digests, so a change to any workload's decisions fails
+# here, and check that a perturbed scenario is a failed operation.
+cargo test --release --offline --manifest-path bench-wholerun/Cargo.toml
+
 echo "ci: all gates passed (${total_passed} tests)"

@@ -152,7 +152,22 @@ pub struct ClusterState {
     usage_training: (u32, u32),
     /// Same as `usage_training` for whitelisted OnLoan servers.
     usage_on_loan: (u32, u32),
+    /// Servers changed since the last [`ClusterState::audit_touched`],
+    /// each with its usage share before the first change. Servers that
+    /// failed that audit stay, with their share at the audit.
+    touched: BTreeMap<ServerId, UsageShare>,
+    /// Jobs whose footprint entry changed since the last
+    /// [`ClusterState::audit_touched`], plus those that failed it.
+    touched_jobs: BTreeSet<JobId>,
+    /// The `(training, on_loan)` usage the last
+    /// [`ClusterState::audit_touched`] derived from the servers, which
+    /// the next one updates by the touched servers' changes.
+    audited_usage: ((u32, u32), (u32, u32)),
 }
+
+/// What one server adds to the pool usage counters: `(pool, used,
+/// total)` GPUs while whitelisted, nothing otherwise.
+type UsageShare = Option<(PoolKind, u32, u32)>;
 
 impl ClusterState {
     /// Builds the cluster: training servers get ids `0..T`, inference
@@ -176,6 +191,7 @@ impl ClusterState {
             .with_speed_factor(config.speed.factor(GpuType::T4));
             servers.insert(s.id, s);
         }
+        let usage_training = (0, config.training_servers * config.gpus_per_server);
         ClusterState {
             servers,
             whitelist,
@@ -183,9 +199,31 @@ impl ClusterState {
             idle_loaned: BTreeSet::new(),
             down: BTreeSet::new(),
             occupancy: BTreeMap::new(),
-            usage_training: (0, config.training_servers * config.gpus_per_server),
+            usage_training,
             usage_on_loan: (0, 0),
+            touched: BTreeMap::new(),
+            touched_jobs: BTreeSet::new(),
+            audited_usage: (usage_training, (0, 0)),
             config,
+        }
+    }
+
+    /// `id`'s current share of the pool usage counters.
+    fn usage_share(&self, id: ServerId) -> UsageShare {
+        if !self.whitelist.contains(&id) {
+            return None;
+        }
+        self.servers
+            .get(&id)
+            .map(|s| (s.pool, s.used_gpus(), s.total_gpus))
+    }
+
+    /// Marks `id` for the next [`Self::audit_touched`]. Call before
+    /// changing the server: the first mark records its usage share.
+    fn touch(&mut self, id: ServerId) {
+        if !self.touched.contains_key(&id) {
+            let share = self.usage_share(id);
+            self.touched.insert(id, share);
         }
     }
 
@@ -202,6 +240,7 @@ impl ClusterState {
         if gpus == 0 {
             return;
         }
+        self.touched_jobs.insert(job);
         let entry = self.occupancy.entry(job).or_default();
         *entry.hosts.entry(server).or_insert(0) += gpus;
         entry.gpus += gpus;
@@ -213,6 +252,7 @@ impl ClusterState {
         if gpus == 0 {
             return;
         }
+        self.touched_jobs.insert(job);
         if let Some(entry) = self.occupancy.get_mut(&job) {
             if let Some(held) = entry.hosts.get_mut(&server) {
                 *held = held.saturating_sub(gpus);
@@ -254,6 +294,12 @@ impl ClusterState {
     /// Number of servers currently on loan.
     pub fn loaned_count(&self) -> u32 {
         self.loaned.len() as u32
+    }
+
+    /// Number of loaned servers hosting workers: the loan ledger minus
+    /// the idle index kept in lockstep with it. O(1).
+    pub fn busy_loaned_count(&self) -> u32 {
+        self.loaned.len().saturating_sub(self.idle_loaned.len()) as u32
     }
 
     /// Whether `id` is on loan to training.
@@ -326,10 +372,11 @@ impl ClusterState {
         if self.down.contains(&id) {
             return Err(ClusterError::ServerDown(id));
         }
-        let s = self
-            .servers
-            .get_mut(&id)
-            .ok_or(ClusterError::UnknownServer(id))?;
+        if !self.servers.contains_key(&id) {
+            return Err(ClusterError::UnknownServer(id));
+        }
+        self.touch(id);
+        let s = self.servers.get_mut(&id).expect("checked above");
         let victims: Vec<(JobId, u32)> = s.jobs().collect();
         let (pool, total) = (s.pool, s.total_gpus);
         for (job, _) in &victims {
@@ -355,9 +402,11 @@ impl ClusterState {
     /// the whitelist immediately; inference-owned servers return to the
     /// inference pool and become loanable again.
     pub fn recover_server(&mut self, id: ServerId) -> Result<(), ClusterError> {
-        if !self.down.remove(&id) {
+        if !self.down.contains(&id) {
             return Err(ClusterError::UnknownServer(id));
         }
+        self.touch(id);
+        self.down.remove(&id);
         let s = self
             .servers
             .get_mut(&id)
@@ -386,10 +435,11 @@ impl ClusterState {
     /// * no orphaned assignments: servers outside the whitelist host no
     ///   workers.
     ///
-    /// Release builds call this explicitly where they want degradation
-    /// instead of a crash; debug builds additionally run it after every
-    /// mutation (via `debug_audit`) so tests fail fast at the corrupting
-    /// operation.
+    /// This is the oracle, O(cluster). The simulator runs it once at the
+    /// end of a run; after orchestrator ticks and faults it runs
+    /// [`Self::audit_touched`] instead, which debug builds cross-check
+    /// against this. Debug builds also run it after every mutation (via
+    /// `debug_audit`) so tests fail fast at the corrupting operation.
     pub fn audit(&self) -> Result<(), ClusterError> {
         let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
         for s in self.servers.values() {
@@ -486,6 +536,120 @@ impl ClusterState {
         Ok(())
     }
 
+    /// Audits what changed since the last call: every per-server check of
+    /// [`Self::audit`] on the servers the mutators touched, the footprint
+    /// index from both sides (touched servers' jobs, touched jobs' hosts)
+    /// and the pool usage counters against the last audit's usage plus
+    /// each touched server's change. It reports a violation exactly when
+    /// [`Self::audit`] would, as long as the state changes only through
+    /// the mutators. Servers and jobs that fail stay marked, so a
+    /// violation left in place is reported again by the next call.
+    ///
+    /// O(touched servers + touched jobs' hosts), against `audit`'s
+    /// O(cluster): the engine runs this after each orchestrator tick and
+    /// fault.
+    pub fn audit_touched(&mut self) -> Result<(), ClusterError> {
+        let mut first = None;
+        let mut usage = self.audited_usage;
+        let touched = std::mem::take(&mut self.touched);
+        for (id, before) in touched {
+            let now = self.usage_share(id);
+            let sub: fn(u32, u32) -> u32 = u32::wrapping_sub;
+            for (share, op) in [(before, sub), (now, u32::wrapping_add)] {
+                if let Some((pool, used, total)) = share {
+                    let slot = match pool {
+                        PoolKind::Training => &mut usage.0,
+                        PoolKind::OnLoan => &mut usage.1,
+                    };
+                    // Wrapping is exact: the final sums are true totals.
+                    *slot = (op(slot.0, used), op(slot.1, total));
+                }
+            }
+            if let Err(e) = self.audit_server(id) {
+                first.get_or_insert(e);
+                self.touched.insert(id, now);
+            }
+        }
+        let touched_jobs = std::mem::take(&mut self.touched_jobs);
+        for job in touched_jobs {
+            if let Err(e) = self.audit_job(job) {
+                first.get_or_insert(e);
+                self.touched_jobs.insert(job);
+            }
+        }
+        self.audited_usage = usage;
+        if (self.usage_training, self.usage_on_loan) != usage {
+            first.get_or_insert(ClusterError::AuditViolation(format!(
+                "pool GPU-usage counters out of lockstep: training {:?} vs {:?}, \
+                 on-loan {:?} vs {:?}",
+                self.usage_training, usage.0, self.usage_on_loan, usage.1
+            )));
+        }
+        first.map_or(Ok(()), Err)
+    }
+
+    /// The per-server checks of [`Self::audit`] on one server, with the
+    /// footprint index checked from the server's side.
+    fn audit_server(&self, id: ServerId) -> Result<(), ClusterError> {
+        let violation = |msg: String| Err(ClusterError::AuditViolation(msg));
+        let Some(s) = self.servers.get(&id) else {
+            return violation(format!("touched {id} does not exist"));
+        };
+        let whitelisted = self.whitelist.contains(&id);
+        let loaned = self.loaned.contains(&id);
+        let idle = self.idle_loaned.contains(&id);
+        if s.used_gpus() > s.total_gpus {
+            return violation(format!(
+                "{id}: {} GPUs used of {}",
+                s.used_gpus(),
+                s.total_gpus
+            ));
+        }
+        if loaned && !whitelisted {
+            return violation(format!("loaned {id} is not whitelisted"));
+        }
+        if loaned && s.gpu_type != GpuType::T4 {
+            return violation(format!("loaned {id} is a dedicated training server"));
+        }
+        if self.down.contains(&id) && (whitelisted || loaned) {
+            return violation(format!("down {id} is still whitelisted or on loan"));
+        }
+        if !whitelisted && !s.is_empty() {
+            return violation(format!("{id} hosts workers but is outside the whitelist"));
+        }
+        if idle != (loaned && s.is_empty()) {
+            return violation(format!("idle-loan index out of lockstep for {id}"));
+        }
+        for (job, gpus) in s.jobs() {
+            let indexed = self.occupancy.get(&job).and_then(|o| o.hosts.get(&id));
+            if indexed != Some(&gpus) {
+                return violation(format!(
+                    "job-footprint index out of lockstep for {job} on {id}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The footprint index entry of `job` checked from its side: every
+    /// indexed host holds exactly the indexed GPUs, which sum to the total.
+    fn audit_job(&self, job: JobId) -> Result<(), ClusterError> {
+        let Some(o) = self.occupancy.get(&job) else {
+            return Ok(());
+        };
+        let hosted = o.hosts.iter().all(|(sid, &gpus)| {
+            self.servers
+                .get(sid)
+                .is_some_and(|s| s.jobs().any(|held| held == (job, gpus)))
+        });
+        if o.hosts.is_empty() || !hosted || o.hosts.values().sum::<u32>() != o.gpus {
+            return Err(ClusterError::AuditViolation(format!(
+                "job-footprint index out of lockstep for {job}"
+            )));
+        }
+        Ok(())
+    }
+
     /// In debug builds, panics at the corrupting mutation instead of
     /// letting an inconsistency propagate. No-op in release.
     #[inline]
@@ -518,6 +682,7 @@ impl ClusterState {
             });
         }
         for id in &candidates {
+            self.touch(*id);
             self.whitelist.insert(*id);
             self.loaned.insert(*id);
             // Freshly loaned servers arrive empty.
@@ -549,6 +714,7 @@ impl ClusterState {
             }
         }
         for id in ids {
+            self.touch(*id);
             let total = self.servers.get(id).map_or(0, |s| s.total_gpus);
             // Returned servers are validated empty above, so only the
             // capacity leaves the counter.
@@ -590,6 +756,7 @@ impl ClusterState {
         }
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
+            self.touch(*id);
             let s = self.servers.get_mut(id).expect("validated above");
             s.allocate(job, gpus).map_err(ClusterError::Occupancy)?;
             if s.pool == PoolKind::OnLoan && s.group == ServerGroup::Unassigned {
@@ -628,6 +795,7 @@ impl ClusterState {
         }
         for (id, workers) in assignment {
             let gpus = workers * gpus_per_worker;
+            self.touch(*id);
             let s = self.servers.get_mut(id).expect("validated above");
             s.release(job, gpus).map_err(ClusterError::Occupancy)?;
             let now_empty = s.is_empty();
@@ -645,10 +813,11 @@ impl ClusterState {
     /// Vacates every allocation on one server (flexible-group release),
     /// returning the `(job, gpus)` pairs that were freed.
     pub fn vacate_server(&mut self, id: ServerId) -> Result<Vec<(JobId, u32)>, ClusterError> {
-        let s = self
-            .servers
-            .get_mut(&id)
-            .ok_or(ClusterError::UnknownServer(id))?;
+        if !self.servers.contains_key(&id) {
+            return Err(ClusterError::UnknownServer(id));
+        }
+        self.touch(id);
+        let s = self.servers.get_mut(&id).expect("checked above");
         let jobs: Vec<(JobId, u32)> = s.jobs().collect();
         let pool = s.pool;
         for (job, _) in &jobs {
@@ -679,6 +848,7 @@ impl ClusterState {
             .unwrap_or_default();
         let mut freed = Vec::new();
         for &sid in &hosts {
+            self.touch(sid);
             let Some(s) = self.servers.get_mut(&sid) else {
                 continue;
             };
@@ -765,6 +935,7 @@ impl ClusterState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> ClusterState {
         ClusterState::new(ClusterConfig {
@@ -1011,5 +1182,130 @@ mod tests {
         c.recover_server(loaned[1]).unwrap();
         c.evict_job(JobId(1));
         c.audit().expect("after recover/evict");
+    }
+
+    /// One mutator call: `(mutator, server, job, size, two legs)`.
+    /// Server ids 5 and 6 do not exist in [`small`], so some calls fail.
+    type Op = (u8, u32, u64, u32, bool);
+
+    fn apply(c: &mut ClusterState, (kind, server, job, size, two): Op) {
+        let (sid, job) = (ServerId(server), JobId(job));
+        let legs = [(sid, 1 + size % 4), (ServerId((server + 1) % 7), 1)];
+        let legs = &legs[..1 + usize::from(two)];
+        let gpus_per_worker = 1 + size / 4;
+        let group = if size % 2 == 0 {
+            ServerGroup::Base
+        } else {
+            ServerGroup::Flexible
+        };
+        let _ = match kind {
+            0 => c.crash_server(sid).map(drop),
+            1 => c.recover_server(sid),
+            2 => c.loan(server % 4).map(drop),
+            3 => c.return_servers(&[sid]),
+            4 => c.allocate(job, legs, gpus_per_worker, group),
+            5 => c.release(job, legs, gpus_per_worker),
+            6 => c.vacate_server(sid).map(drop),
+            _ => {
+                c.evict_job(job);
+                Ok(())
+            }
+        };
+    }
+
+    fn ops(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec((0u8..8, 0u32..7, 0u64..3, 0u32..8, any::<bool>()), len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The touched-server audit agrees with the full audit after any
+        /// mutator history, and both catch a corrupted field of a touched
+        /// server, again at the next touched-server audit.
+        #[test]
+        fn incremental_audit_equals_full_audit(
+            batches in prop::collection::vec(ops(0..5), 1..12),
+            tail in ops(1..5),
+            corruption in 0u8..6,
+        ) {
+            let mut c = small();
+            for batch in &batches {
+                for &op in batch {
+                    apply(&mut c, op);
+                }
+                prop_assert_eq!(c.audit_touched().is_ok(), c.audit().is_ok());
+                prop_assert!(c.touched.is_empty() && c.touched_jobs.is_empty());
+            }
+            for &op in &tail {
+                apply(&mut c, op);
+            }
+            // Vacating an existing server always succeeds and touches it.
+            if c.touched.is_empty() {
+                c.vacate_server(ServerId(0)).unwrap();
+            }
+            let first = *c.touched.keys().next().unwrap();
+            // A job on a touched server, preferring one whose footprint
+            // entry is unmarked, so only the server's side can see it.
+            let hosted = c
+                .touched
+                .keys()
+                .flat_map(|&id| c.servers[&id].jobs().map(move |(job, gpus)| (id, job, gpus)))
+                .min_by_key(|(_, job, _)| c.touched_jobs.contains(job));
+            // A running job and a touched server not hosting it, so only
+            // the job's side can see a phantom host.
+            let phantom = c
+                .occupancy
+                .keys()
+                .flat_map(|&job| c.touched.keys().map(move |&id| (id, job)))
+                .find(|(id, job)| c.servers[id].gpus_of(*job) == 0);
+            // A marked footprint entry, for a total only its side sees.
+            let marked = c
+                .touched_jobs
+                .iter()
+                .copied()
+                .find(|job| c.occupancy.contains_key(job));
+            match (corruption, hosted, phantom, marked) {
+                (0, Some((id, job, _)), ..) => {
+                    c.servers.get_mut(&id).unwrap().release(job, 1).unwrap();
+                }
+                (0, None, ..) => {
+                    c.servers.get_mut(&first).unwrap().allocate(JobId(99), 1).unwrap();
+                }
+                (1, ..) => {
+                    if !c.idle_loaned.remove(&first) {
+                        c.idle_loaned.insert(first);
+                    }
+                }
+                (2, Some((id, job, gpus)), ..) => {
+                    let entry = c.occupancy.get_mut(&job).unwrap();
+                    entry.hosts.insert(id, gpus + 1);
+                    entry.gpus += 1;
+                }
+                // A buggy mutator indexing the wrong server.
+                (3, _, Some((id, job)), _) => c.occupancy_add(job, id, 1),
+                (4, .., Some(job)) => c.occupancy.get_mut(&job).unwrap().gpus += 1,
+                _ => c.usage_on_loan.0 += 1,
+            }
+            prop_assert!(c.audit().is_err());
+            prop_assert!(c.audit_touched().is_err());
+            prop_assert!(c.audit_touched().is_err(), "a violation left in place is reported again");
+        }
+    }
+
+    #[test]
+    fn touched_audit_reports_a_violation_until_it_is_mended() {
+        let mut c = small();
+        let loaned = c.loan(1).unwrap();
+        c.audit_touched().expect("loaning is consistent");
+        c.allocate(JobId(1), &[(loaned[0], 1)], 1, ServerGroup::Base)
+            .unwrap();
+        // Corrupt the idle-loan index of the touched server.
+        c.idle_loaned.insert(loaned[0]);
+        assert!(c.audit_touched().is_err());
+        assert!(c.audit_touched().is_err(), "still marked, still reported");
+        c.idle_loaned.remove(&loaned[0]);
+        c.audit_touched().expect("mended");
+        assert!(c.touched.is_empty());
     }
 }

@@ -41,8 +41,10 @@ use std::path::Path;
 /// decision`, `JobScaleOut.{on_loan,servers}`); version 6 dropped the
 /// persisted `SimConfig`'s two snapshot/reclaim mode switches; version 7
 /// folded the observer's trackers into one `EventFolds` and moved the
-/// telemetry gauges into the every-epoch `SchedulerEpoch` event.
-pub const CHECKPOINT_VERSION: u32 = 7;
+/// telemetry gauges into the every-epoch `SchedulerEpoch` event; version
+/// 8 added the cluster state's touched servers and jobs and the usage of
+/// its last incremental audit.
+pub const CHECKPOINT_VERSION: u32 = 8;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

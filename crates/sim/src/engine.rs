@@ -788,11 +788,7 @@ impl Simulation {
             return;
         }
         let queue_depth = self.queue.len() as f64;
-        let running = self
-            .jobs
-            .iter()
-            .filter(|j| j.state == JobState::Running)
-            .count() as f64;
+        let running = self.running_jobs.len() as f64;
         let loaned = f64::from(self.cluster.loaned_count());
         let (train_used, train_total) = self.cluster.gpu_usage(PoolKind::Training);
         let (loan_used, loan_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
@@ -918,13 +914,11 @@ impl Simulation {
             .advance(now, f64::from(t_used), f64::from(t_total));
         self.on_loan_usage
             .advance(now, f64::from(l_used), f64::from(l_total));
-        let loaned_ids = self.cluster.loaned_ids();
-        let busy_servers = loaned_ids
-            .iter()
-            .filter(|sid| self.cluster.server(**sid).is_some_and(|s| !s.is_empty()))
-            .count();
-        self.on_loan_servers
-            .advance(now, busy_servers as f64, loaned_ids.len() as f64);
+        self.on_loan_servers.advance(
+            now,
+            f64::from(self.cluster.busy_loaned_count()),
+            f64::from(self.cluster.loaned_count()),
+        );
         let inf_busy = self
             .inference
             .as_ref()
@@ -2299,6 +2293,20 @@ impl Simulation {
         }
     }
 
+    /// Audits the servers changed since the last audit, counting a
+    /// violation; debug builds require the full audit to agree.
+    fn audit_touched(&mut self) {
+        let ok = self.cluster.audit_touched().is_ok();
+        debug_assert_eq!(
+            ok,
+            self.cluster.audit().is_ok(),
+            "touched-server audit disagrees with the full audit"
+        );
+        if !ok {
+            self.fault_stats.audit_violations += 1;
+        }
+    }
+
     /// Whether fault-plan event `i` is a scheduler crash.
     fn scheduler_crash_at(&self, i: usize) -> bool {
         self.faults
@@ -2553,9 +2561,8 @@ impl Simulation {
                     // waiting out an inference-traffic peak), so only a
                     // *prolonged* total stall — two simulated days —
                     // declares the remaining jobs unschedulable.
-                    let running_any = self.jobs.iter().any(|j| j.state == JobState::Running);
                     let stalled = launched == 0
-                        && !running_any
+                        && self.running_jobs.is_empty()
                         && self.arrived == n_jobs
                         && !self.queue.is_empty();
                     if stalled {
@@ -2580,9 +2587,7 @@ impl Simulation {
                         self.drop_next_orch_tick = false;
                     } else {
                         self.handle_orchestrator_tick()?;
-                        if self.cluster.audit().is_err() {
-                            self.fault_stats.audit_violations += 1;
-                        }
+                        self.audit_touched();
                         self.validate_snapshot = true;
                     }
                     if self.completed < n_jobs {
@@ -2594,9 +2599,7 @@ impl Simulation {
                 }
                 EventKind::Fault(i) => {
                     self.handle_fault(i)?;
-                    if self.cluster.audit().is_err() {
-                        self.fault_stats.audit_violations += 1;
-                    }
+                    self.audit_touched();
                     self.validate_snapshot = true;
                 }
                 EventKind::ServerRecover(sid) => {
