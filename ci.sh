@@ -30,7 +30,7 @@ if [ -n "$untracked" ]; then
   exit 1
 fi
 
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # First-party rustdoc must build clean (vendored stand-ins are exempt).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
@@ -39,8 +39,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p lyra-oracle
 
 # Bench smoke: one observed end-to-end run; exits non-zero unless the
-# event log, metric snapshots, span profile and delay attribution all
-# came out non-empty and the exported Chrome trace passes the
+# event log, span profile and delay attribution all came out non-empty,
+# the telemetry's folded completed-jobs counter equals the report's
+# completed count, and the exported Chrome trace passes the
 # trace_event schema check. The saved log then drives the attribution
 # and export tooling end-to-end.
 smoke_dir=$(mktemp -d)
@@ -83,7 +84,8 @@ grep -q 'known causes' "$smoke_dir/cause-err.txt" || {
 # Telemetry smoke: the sparkline dashboard of a live run and of the
 # replayed log of the same Small seed-5 run must be byte-identical (one
 # fold, live and offline), and the Prometheus exposition must come out
-# non-empty with the lyra_ namespace.
+# non-empty with the lyra_ namespace and carry the folded completed-jobs
+# counter.
 ./target/release/lyra-bench timeline >"$smoke_dir/timeline-live.txt"
 ./target/release/lyra-bench timeline --log "$smoke_dir/smoke.jsonl" \
   >"$smoke_dir/timeline-log.txt"
@@ -94,6 +96,10 @@ cmp "$smoke_dir/timeline-live.txt" "$smoke_dir/timeline-log.txt" || {
 ./target/release/lyra-bench prom --out "$smoke_dir/smoke.prom"
 grep -q '^lyra_' "$smoke_dir/smoke.prom" || {
   echo "ci: Prometheus exposition is empty or unprefixed" >&2
+  exit 1
+}
+grep -q '^lyra_sim_jobs_completed_total ' "$smoke_dir/smoke.prom" || {
+  echo "ci: Prometheus exposition lacks the completed-jobs counter" >&2
   exit 1
 }
 rm -rf "$smoke_dir"

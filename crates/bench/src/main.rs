@@ -91,18 +91,20 @@ fn observed_small_run(sink: Option<&str>) -> lyra_sim::SimReport {
 
 /// `smoke [--log <file>]`: one observed end-to-end run with every
 /// observability pillar checked — used by ci.sh as the bench smoke
-/// test. Exits non-zero if the run produced no events, no metric
-/// snapshots, no span profile or no delay attribution, or if the
-/// exported Chrome trace fails the `trace_event` schema check. With
-/// `--log`, also writes the JSONL event log to `file` (feed it to
-/// `explain`/`attribute`/`export-trace`/`events --log <file>`).
+/// test. Exits non-zero if the run produced no events, no span profile
+/// or no delay attribution, if the telemetry's folded
+/// `sim.jobs.completed` counter disagrees with the report's completed
+/// count, or if the exported Chrome trace fails the `trace_event`
+/// schema check. With `--log`, also writes the JSONL event log to
+/// `file` (feed it to `explain`/`attribute`/`export-trace`/`events
+/// --log <file>`).
 fn smoke(log_path: Option<&str>) -> ! {
     let report = observed_small_run(log_path);
     println!(
-        "smoke: {} jobs completed, {} events, {} metric snapshots, {} profiled phases",
+        "smoke: {} jobs completed ({} folded), {} events, {} profiled phases",
         report.completed,
+        report.telemetry.counters.completed,
         report.events.len(),
-        report.metrics.len(),
         report.profile.0.len()
     );
     print!("{}", report.profile.render());
@@ -118,7 +120,7 @@ fn smoke(log_path: Option<&str>) -> ! {
     );
     let ok = report.completed > 0
         && !report.events.is_empty()
-        && !report.metrics.is_empty()
+        && report.telemetry.counters.completed == report.completed as u64
         && !report.profile.0.is_empty()
         && report.attribution.jobs > 0
         && stats.span_pairs > 0;
@@ -348,12 +350,12 @@ fn timeline_cmd(log_path: Option<&str>, width: usize) -> ! {
 }
 
 /// `prom [--out <file.prom>]`: run one small observed scenario and
-/// write its telemetry + metrics registry in Prometheus text
+/// write its telemetry (series, counters, histograms) in Prometheus text
 /// exposition format 0.0.4 (stdout when `--out` is omitted). Same
 /// seed, same bytes.
 fn prom_cmd(out: Option<&str>) -> ! {
     let report = observed_small_run(None);
-    let text = lyra_obs::render_prometheus(&report.telemetry, report.metrics.last());
+    let text = lyra_obs::render_prometheus(&report.telemetry);
     match out {
         Some(path) => {
             std::fs::write(path, &text).unwrap_or_else(|e| {

@@ -49,9 +49,9 @@ pub struct EpochStats {
 }
 
 /// Wall time of the telemetry/observer overhead probe: the same
-/// scenario run bare and under full observation (event log, metrics,
-/// audit, telemetry sampling — everything `ObserverConfig::default()`
-/// turns on).
+/// scenario run bare and under full observation (event log, audit,
+/// the attribution/provenance/telemetry folds — everything
+/// `ObserverConfig::default()` turns on).
 #[derive(Debug, Clone, Serialize)]
 pub struct ObserverOverhead {
     /// Wall time of the unobserved run, seconds.
@@ -366,10 +366,9 @@ pub fn run(smoke: bool) -> i32 {
             .min_by(|a, b| a.mean_ms.total_cmp(&b.mean_ms))
     };
 
-    // Telemetry overhead budget: full observation (event log + metrics
-    // + audit + telemetry sampling) must stay within a generous
-    // multiple of the bare run. Gated in smoke (ci.sh), reported in the
-    // full benchmark.
+    // Telemetry overhead budget: full observation (event log + audit
+    // + the folds) must stay within a generous multiple of the bare
+    // run. Gated in smoke (ci.sh), reported in the full benchmark.
     let overhead = observer_overhead(&scenario, &jobs, &inference);
     println!(
         "observer overhead: {:.3}s bare vs {:.3}s observed ({:.2}x, budget {}x + {}s)",

@@ -729,8 +729,8 @@ impl ClusterState {
     }
 
     /// Allocates workers of `job` per the assignment, labelling on-loan
-    /// servers with `group` when unassigned. Validates every leg first;
-    /// applies atomically.
+    /// servers with `group` when unassigned. Validates every leg first
+    /// (a leg of zero GPUs is refused); applies atomically.
     pub fn allocate(
         &mut self,
         job: JobId,
@@ -747,6 +747,9 @@ impl ClusterState {
                 return Err(ClusterError::NotWhitelisted(*id));
             }
             let need = workers * gpus_per_worker;
+            if need == 0 {
+                return Err(ClusterError::Occupancy(format!("{id}: zero-GPU leg for {job}")));
+            }
             if need > s.free_gpus() {
                 return Err(ClusterError::Occupancy(format!(
                     "{id}: need {need}, free {}",
@@ -1042,6 +1045,19 @@ mod tests {
         let err = c.allocate(JobId(1), &a, 2, ServerGroup::Base);
         assert!(matches!(err, Err(ClusterError::Occupancy(_))));
         assert_eq!(c.gpu_usage(PoolKind::Training).0, 0);
+    }
+
+    #[test]
+    fn allocate_refuses_a_zero_leg() {
+        let mut c = small();
+        let a = [(ServerId(0), 1u32), (ServerId(1), 0u32)];
+        let err = c.allocate(JobId(1), &a, 2, ServerGroup::Base);
+        assert!(matches!(err, Err(ClusterError::Occupancy(_))));
+        let err = c.allocate(JobId(1), &[(ServerId(0), 1)], 0, ServerGroup::Base);
+        assert!(matches!(err, Err(ClusterError::Occupancy(_))));
+        assert_eq!(c.gpu_usage(PoolKind::Training).0, 0);
+        c.audit().expect("a refused allocation leaves the state consistent");
+        c.audit_touched().expect("and marks nothing inconsistent");
     }
 
     #[test]

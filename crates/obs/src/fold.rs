@@ -3,9 +3,9 @@
 //! [`EventFolds`] feeds every event to the three derived views — the
 //! per-job delay attribution ([`LifecycleTracker`]), the decision
 //! provenance graph ([`ProvenanceTracker`]) and the scheduler-health
-//! series ([`Telemetry`]). The simulation observer runs it online as
-//! each event is emitted; [`EventFolds::replay`] runs it offline over a
-//! parsed log. Both paths apply the same transition to the same
+//! series, counters and histograms ([`Telemetry`]). The simulation
+//! observer runs it online as each event is emitted;
+//! [`EventFolds::replay`] runs it offline over a parsed log. Both paths apply the same transition to the same
 //! `(time, seq, event)` stream and close the lifecycle with the same
 //! end-of-observation rule, so live and replayed views are equal by
 //! construction.
@@ -55,6 +55,11 @@ impl EventFolds {
             prov.observe(time_ms, seq, event);
         }
         self.telemetry.observe(time_ms, event);
+        if let SchedEvent::JobComplete { job, .. } = event {
+            // The lifecycle has just closed the job's last segment, so
+            // its queued time is final.
+            self.telemetry.observe_queued(self.lifecycle.queued_ms(*job));
+        }
     }
 
     /// Ends observation: closes every still-open job at the time of the

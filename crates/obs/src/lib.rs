@@ -13,17 +13,15 @@
 //!   scheduler events emitted as JSON Lines into a ring buffer with an
 //!   optional file sink. Event payloads carry only simulated quantities,
 //!   so two runs with the same seed produce byte-identical logs.
-//! * [`registry`] — a **metrics registry**: counters, gauges and
-//!   fixed-bucket histograms registered by name and snapshotted per
-//!   simulated hour, so time series come from one place instead of
-//!   bespoke report fields.
 //! * [`timeseries`] + [`alerts`] + [`prom`] — **continuous telemetry**:
 //!   per-epoch scheduler health gauges, folded from the `SchedulerEpoch`
 //!   events into fixed-capacity ring series with deterministic
-//!   decimation (bounded memory at 1M-job scale), fixed log2-bucket
-//!   histograms, a threshold/sustained-window alert engine emitting
-//!   typed `Alert` events into the log, and Prometheus text exposition +
-//!   CSV export — all byte-reproducible under the same seed.
+//!   decimation (bounded memory at 1M-job scale), cumulative operation
+//!   counters and fixed-bucket histograms folded from the events that
+//!   announce each operation, a threshold/sustained-window alert engine
+//!   emitting typed `Alert` events into the log, and Prometheus text
+//!   exposition + CSV export — all byte-reproducible under the same
+//!   seed.
 //! * [`span`] — **span timing** for the hot paths (MCKP DP, best-fit
 //!   placement, reclaim cost search, engine ticks), aggregated into a
 //!   per-phase self-time profile.
@@ -75,7 +73,6 @@ pub mod log;
 pub mod output;
 pub mod provenance;
 pub mod prom;
-pub mod registry;
 pub mod span;
 pub mod timeseries;
 
@@ -103,6 +100,7 @@ pub use provenance::{
 };
 pub use output::OutputMode;
 pub use prom::render_prometheus;
-pub use registry::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot, DEFAULT_HISTOGRAM_BOUNDS};
 pub use span::{PhaseStat, Profile, SpanGuard};
-pub use timeseries::{Log2Histogram, RingSeries, SeriesPoint, Telemetry};
+pub use timeseries::{
+    Counters, Histogram, RingSeries, SeriesPoint, Telemetry, DURATION_BUCKETS_S,
+};

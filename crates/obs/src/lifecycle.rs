@@ -53,6 +53,8 @@ struct JobLife {
     state: LifeState,
     /// Start of the segment currently being accumulated.
     segment_start_ms: u64,
+    /// Total length of the closed pending segments.
+    queued_ms: u64,
     /// Whether a straggler episode is active (running state only).
     straggling: bool,
     /// Mirror of the engine's `stall_until` cursor for this run period.
@@ -69,6 +71,7 @@ impl JobLife {
             completion_ms: None,
             state: LifeState::Pending(DelayCause::GpuScarcity),
             segment_start_ms: arrival_ms,
+            queued_ms: 0,
             straggling: false,
             stall_until_ms: arrival_ms,
             stalls: Vec::new(),
@@ -101,7 +104,10 @@ impl JobLife {
         let start = self.segment_start_ms;
         let t = t.max(start);
         match self.state {
-            LifeState::Pending(cause) => self.push(start, t, cause),
+            LifeState::Pending(cause) => {
+                self.queued_ms += t - start;
+                self.push(start, t, cause);
+            }
             LifeState::Running => {
                 let base = if self.straggling {
                     DelayCause::StragglerSlowdown
@@ -227,6 +233,12 @@ impl LifecycleTracker {
             }
             _ => {}
         }
+    }
+
+    /// Total time `job` has spent in closed pending segments,
+    /// milliseconds (0 for an unknown job).
+    pub fn queued_ms(&self, job: u64) -> u64 {
+        self.jobs.get(&job).map_or(0, |life| life.queued_ms)
     }
 
     /// Closes every still-open job at `end_ms` (jobs that never
@@ -355,6 +367,39 @@ mod tests {
         let totals = a.cause_totals_ms();
         assert!(totals.contains(&(DelayCause::ReclaimPreemption, 3_000)));
         assert!(totals.contains(&(DelayCause::CheckpointRestore, 1_000)));
+    }
+
+    #[test]
+    fn queued_time_sums_every_pending_segment() {
+        let events = [
+            (0, SchedEvent::JobAdmit { job: 1 }),
+            (100, start(1)),
+            (
+                5_000,
+                SchedEvent::JobPreempt {
+                    job: 1,
+                    checkpointed: true,
+                    decision: None,
+                },
+            ),
+            (8_000, start(1)),
+            (12_000, SchedEvent::JobComplete { job: 1, jct_s: 12.0 }),
+        ];
+        let timed: Vec<TimedEvent> = events
+            .into_iter()
+            .enumerate()
+            .map(|(i, (time_ms, event))| TimedEvent {
+                time_ms,
+                seq: i as u64,
+                event,
+            })
+            .collect();
+        let folds = EventFolds::replay(&timed);
+        assert_eq!(folds.lifecycle.queued_ms(1), 3_100);
+        assert_eq!(folds.lifecycle.queued_ms(99), 0);
+        // The fold hands the final queued time to telemetry on completion.
+        assert_eq!(folds.telemetry.queue_s.count, 1);
+        assert!((folds.telemetry.queue_s.sum - 3.1).abs() < 1e-12);
     }
 
     #[test]

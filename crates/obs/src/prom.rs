@@ -1,5 +1,4 @@
-//! Prometheus text exposition (version 0.0.4) for the telemetry store
-//! and the metrics registry.
+//! Prometheus text exposition (version 0.0.4) for the telemetry store.
 //!
 //! This is the scrape surface a future `serve` daemon will expose; for
 //! now `lyra-bench prom` renders one exposition snapshot at end of run.
@@ -12,8 +11,7 @@
 //! Prometheus-safe underscored names under the `lyra_` namespace
 //! (`lyra_queue_depth`).
 
-use crate::registry::MetricsSnapshot;
-use crate::timeseries::{format_value, Log2Histogram, Telemetry};
+use crate::timeseries::{format_value, Histogram, Telemetry};
 
 /// Maps a dotted Lyra metric name to a Prometheus metric name.
 pub fn prom_name(name: &str) -> String {
@@ -41,13 +39,13 @@ fn push_metric(out: &mut String, name: &str, kind: &str, value: &str) {
     out.push('\n');
 }
 
-fn push_histogram(out: &mut String, name: &str, bounds: &[f64], counts: &[u64], sum: f64, count: u64) {
+fn push_histogram(out: &mut String, name: &str, h: &Histogram) {
     out.push_str("# TYPE ");
     out.push_str(name);
     out.push_str(" histogram\n");
     let mut cumulative = 0u64;
-    for (i, b) in bounds.iter().enumerate() {
-        cumulative += counts[i];
+    for (b, n) in h.bounds.iter().zip(&h.counts) {
+        cumulative += n;
         out.push_str(name);
         out.push_str("_bucket{le=\"");
         out.push_str(&format_value(*b));
@@ -55,30 +53,25 @@ fn push_histogram(out: &mut String, name: &str, bounds: &[f64], counts: &[u64], 
         out.push_str(&cumulative.to_string());
         out.push('\n');
     }
-    cumulative += counts.last().copied().unwrap_or(0);
+    cumulative += h.counts.last().copied().unwrap_or(0);
     out.push_str(name);
     out.push_str("_bucket{le=\"+Inf\"} ");
     out.push_str(&cumulative.to_string());
     out.push('\n');
     out.push_str(name);
     out.push_str("_sum ");
-    out.push_str(&format_value(sum));
+    out.push_str(&format_value(h.sum));
     out.push('\n');
     out.push_str(name);
     out.push_str("_count ");
-    out.push_str(&count.to_string());
+    out.push_str(&h.count.to_string());
     out.push('\n');
 }
 
-fn push_log2_histogram(out: &mut String, name: &str, h: &Log2Histogram) {
-    push_histogram(out, name, &h.bounds, &h.counts, h.sum, h.count);
-}
-
-/// Renders a full Prometheus text exposition from the telemetry store
-/// (latest value of every series + the epoch histograms) and,
-/// optionally, a registry snapshot (cumulative counters, gauges and
-/// fixed-bucket histograms).
-pub fn render_prometheus(telemetry: &Telemetry, registry: Option<&MetricsSnapshot>) -> String {
+/// Renders a full Prometheus text exposition from the telemetry store:
+/// the latest value of every series, the epoch count, the cumulative
+/// operation counters and the four histograms.
+pub fn render_prometheus(telemetry: &Telemetry) -> String {
     let mut out = String::new();
 
     // Telemetry gauge series: latest retained value of each.
@@ -93,37 +86,29 @@ pub fn render_prometheus(telemetry: &Telemetry, registry: Option<&MetricsSnapsho
         "counter",
         &telemetry.epochs.to_string(),
     );
-    push_log2_histogram(&mut out, "lyra_epoch_span_ms", &telemetry.epoch_span_ms);
-    push_log2_histogram(
+    push_histogram(&mut out, "lyra_epoch_span_ms", &telemetry.epoch_span_ms);
+    push_histogram(
         &mut out,
         "lyra_decision_latency_ms",
         &telemetry.decision_latency_ms,
     );
-
-    if let Some(snap) = registry {
-        for (name, value) in &snap.counters {
-            push_metric(
-                &mut out,
-                &format!("{}_total", prom_name(name)),
-                "counter",
-                &value.to_string(),
-            );
-        }
-        for (name, value) in &snap.gauges {
-            push_metric(&mut out, &prom_name(name), "gauge", &format_value(*value));
-        }
-        for (name, h) in &snap.histograms {
-            push_histogram(&mut out, &prom_name(name), &h.bounds, &h.counts, h.sum, h.count);
-        }
+    for (name, value) in telemetry.counters.named() {
+        push_metric(
+            &mut out,
+            &format!("{}_total", prom_name(name)),
+            "counter",
+            &value.to_string(),
+        );
     }
-
+    push_histogram(&mut out, "lyra_sim_jct_s", &telemetry.jct_s);
+    push_histogram(&mut out, "lyra_sim_queue_s", &telemetry.queue_s);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::MetricsRegistry;
+    use crate::event::SchedEvent;
 
     #[test]
     fn names_are_prometheus_safe() {
@@ -138,7 +123,7 @@ mod tests {
         t.sample_gauge("queue.depth", 0, 3.0);
         t.begin_epoch(30_000);
         t.sample_gauge("queue.depth", 30_000, 5.0);
-        let text = render_prometheus(&t, None);
+        let text = render_prometheus(&t);
         assert!(text.contains("# TYPE lyra_queue_depth gauge\nlyra_queue_depth 5\n"));
         assert!(text.contains("lyra_telemetry_epochs_total 2"));
         assert!(text.contains("lyra_epoch_span_ms_bucket{le=\"+Inf\"} 1"));
@@ -147,14 +132,20 @@ mod tests {
     }
 
     #[test]
-    fn registry_snapshot_appends_counters() {
-        let t = Telemetry::new(8);
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("sim.jobs.completed", 7);
-        reg.gauge_set("cluster.loaned.servers", 2.0);
-        let text = render_prometheus(&t, Some(&reg.snapshot(0)));
-        assert!(text.contains("lyra_sim_jobs_completed_total 7"));
-        assert!(text.contains("lyra_cluster_loaned_servers 2"));
+    fn counters_and_duration_histograms_are_exposed() {
+        let mut t = Telemetry::new(8);
+        for jct_s in [30.0, 7_000.0] {
+            t.observe(0, &SchedEvent::JobComplete { job: 1, jct_s });
+        }
+        t.observe_queued(90_000);
+        let text = render_prometheus(&t);
+        assert!(text.contains("lyra_sim_jobs_completed_total 2\n"));
+        // Counters that never fired still print.
+        assert!(text.contains("lyra_cluster_loan_ops_total 0\n"));
+        assert!(text.contains("lyra_sim_jct_s_bucket{le=\"60\"} 1\n"));
+        assert!(text.contains("lyra_sim_jct_s_bucket{le=\"7200\"} 2\n"));
+        assert!(text.contains("lyra_sim_queue_s_bucket{le=\"300\"} 1\n"));
+        assert!(text.contains("lyra_sim_queue_s_sum 90\n"));
     }
 
     #[test]
@@ -163,7 +154,7 @@ mod tests {
         t.begin_epoch(0);
         t.begin_epoch(1); // span 1 → first bucket (le=1)
         t.begin_epoch(3); // span 2 → second bucket (le=2)
-        let text = render_prometheus(&t, None);
+        let text = render_prometheus(&t);
         assert!(text.contains("lyra_epoch_span_ms_bucket{le=\"1\"} 1\n"));
         assert!(text.contains("lyra_epoch_span_ms_bucket{le=\"2\"} 2\n"));
         assert!(text.contains("lyra_epoch_span_ms_bucket{le=\"+Inf\"} 2\n"));
@@ -174,8 +165,8 @@ mod tests {
         let mut t = Telemetry::new(8);
         t.sample_gauge("b.two", 0, 2.0);
         t.sample_gauge("a.one", 0, 1.0);
-        let a = render_prometheus(&t, None);
-        let b = render_prometheus(&t, None);
+        let a = render_prometheus(&t);
+        let b = render_prometheus(&t);
         assert_eq!(a, b);
         // Sorted order: a.one before b.two.
         let ia = a.find("lyra_a_one").expect("a.one present");

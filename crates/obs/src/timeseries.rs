@@ -3,16 +3,19 @@
 //! [`Telemetry`] is a fold over the event stream: each
 //! `SchedulerEpoch` event samples a fixed set of gauges (queue depth,
 //! utilization split, loaned capacity, reclaim backlog, fragmentation,
-//! …) plus the loan, reclaim and preemption events counted since the
-//! previous epoch into [`RingSeries`] — fixed-capacity series with
+//! …) plus the change in the loan, reclaim and preemption counters
+//! since the previous epoch into [`RingSeries`] — fixed-capacity series with
 //! *deterministic decimation*: when a series fills, every other retained
 //! point is dropped and the sampling stride doubles. The retained point
 //! set is a pure function of the sample sequence, so same-seed runs
 //! export byte-identical series, and memory stays bounded no matter how
 //! long the run is (1M-job scale included).
 //!
-//! Two fixed log2-bucket histograms ride along — simulated epoch span
-//! and modelled decision latency — with bucket bounds frozen at
+//! Cumulative [`Counters`] of loans, reclaims, preemptions, scaling
+//! operations, faults and job transitions ride along, each bumped by
+//! the one event that announces the operation, with four fixed-bucket
+//! histograms — simulated epoch span, modelled decision latency, job
+//! completion time and job queued time — whose bounds are frozen at
 //! construction so golden gates can pin exported bytes. Wall-clock
 //! readings never enter this module (the span profiler owns wall-clock);
 //! every recorded quantity is simulated or modelled.
@@ -129,15 +132,20 @@ impl RingSeries {
     }
 }
 
-/// A histogram with fixed power-of-two bucket bounds.
+/// Bucket bounds for job-level durations, seconds: 1 min … 7 days,
+/// then overflow.
+pub const DURATION_BUCKETS_S: &[f64] = &[
+    60.0, 300.0, 900.0, 3_600.0, 7_200.0, 21_600.0, 43_200.0, 86_400.0, 172_800.0, 604_800.0,
+];
+
+/// A fixed-bucket histogram.
 ///
-/// Bounds are `2^min_exp ..= 2^max_exp` (inclusive), plus an implicit
-/// overflow bucket; they are frozen at construction so exported bytes
-/// are pinnable by the golden gate. Observations are `f64` but the
-/// intended inputs are simulated/modelled quantities (milliseconds).
+/// Bounds are frozen at construction, plus an implicit overflow
+/// bucket, so exported bytes are pinnable by the golden gate. The
+/// intended inputs are simulated or modelled quantities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Log2Histogram {
-    /// Ascending bucket upper bounds (powers of two).
+pub struct Histogram {
+    /// Ascending bucket upper bounds.
     pub bounds: Vec<f64>,
     /// Counts per bucket; `bounds.len() + 1` entries, last = overflow.
     pub counts: Vec<u64>,
@@ -147,17 +155,22 @@ pub struct Log2Histogram {
     pub count: u64,
 }
 
-impl Log2Histogram {
-    /// Creates a histogram with bounds `2^min_exp ..= 2^max_exp`.
-    pub fn new(min_exp: u32, max_exp: u32) -> Self {
-        let bounds: Vec<f64> = (min_exp..=max_exp).map(|e| (1u64 << e) as f64).collect();
-        let buckets = bounds.len() + 1;
-        Log2Histogram {
-            bounds,
-            counts: vec![0; buckets],
+impl Histogram {
+    /// Creates a histogram with the given ascending bucket bounds.
+    pub fn new(bounds: &[f64]) -> Self {
+        Histogram {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
             sum: 0.0,
             count: 0,
         }
+    }
+
+    /// Creates a histogram with power-of-two bounds
+    /// `2^min_exp ..= 2^max_exp`.
+    pub fn log2(min_exp: u32, max_exp: u32) -> Self {
+        let bounds: Vec<f64> = (min_exp..=max_exp).map(|e| (1u64 << e) as f64).collect();
+        Histogram::new(&bounds)
     }
 
     /// Records one observation.
@@ -173,18 +186,92 @@ impl Log2Histogram {
     }
 }
 
-/// Events counted since the previous epoch, backing the `rate.*`
-/// series.
+/// Cumulative operation counts, one per counted event kind, named in
+/// [`named`](Self::named).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-struct RateCounts {
-    loans: u64,
-    reclaims: u64,
-    preemptions: u64,
+pub struct Counters {
+    /// `FlexRelease` events.
+    pub flex_releases: u64,
+    /// `LoanGrant` events.
+    pub loans: u64,
+    /// `ReclaimCarryover` events.
+    pub reclaim_carryovers: u64,
+    /// `ReclaimDeadlineMiss` events.
+    pub reclaim_deadline_misses: u64,
+    /// `ReclaimGrant` events.
+    pub reclaims: u64,
+    /// `ControllerRescale` events.
+    pub rendezvous: u64,
+    /// `Fault` events of kind `injected`.
+    pub faults_injected: u64,
+    /// `Fault` events of kind `job_killed`.
+    pub jobs_killed: u64,
+    /// `DeadlineMiss` events.
+    pub deadlines_missed: u64,
+    /// `JobAdmit` events.
+    pub admitted: u64,
+    /// `JobComplete` events.
+    pub completed: u64,
+    /// `JobPreempt` events.
+    pub preemptions: u64,
+    /// `JobStart` events.
+    pub started: u64,
+    /// `JobScaleIn` events.
+    pub scale_ins: u64,
+    /// `JobScaleOut` events.
+    pub scale_outs: u64,
 }
 
-/// The per-run telemetry store: named ring series plus the two fixed
-/// epoch histograms, folded from the event stream by
-/// [`observe`](Self::observe).
+impl Counters {
+    /// Counts `event` if it is one of the counted kinds.
+    fn count(&mut self, event: &SchedEvent) {
+        let counter = match event {
+            SchedEvent::FlexRelease { .. } => &mut self.flex_releases,
+            SchedEvent::LoanGrant { .. } => &mut self.loans,
+            SchedEvent::ReclaimCarryover { .. } => &mut self.reclaim_carryovers,
+            SchedEvent::ReclaimDeadlineMiss { .. } => &mut self.reclaim_deadline_misses,
+            SchedEvent::ReclaimGrant { .. } => &mut self.reclaims,
+            SchedEvent::ControllerRescale { .. } => &mut self.rendezvous,
+            SchedEvent::Fault { kind, .. } if kind == "injected" => &mut self.faults_injected,
+            SchedEvent::Fault { kind, .. } if kind == "job_killed" => &mut self.jobs_killed,
+            SchedEvent::DeadlineMiss { .. } => &mut self.deadlines_missed,
+            SchedEvent::JobAdmit { .. } => &mut self.admitted,
+            SchedEvent::JobComplete { .. } => &mut self.completed,
+            SchedEvent::JobPreempt { .. } => &mut self.preemptions,
+            SchedEvent::JobStart { .. } => &mut self.started,
+            SchedEvent::JobScaleIn { .. } => &mut self.scale_ins,
+            SchedEvent::JobScaleOut { .. } => &mut self.scale_outs,
+            _ => return,
+        };
+        *counter += 1;
+    }
+
+    /// `(metric name, value)` pairs in sorted name order.
+    pub fn named(&self) -> [(&'static str, u64); 15] {
+        [
+            ("cluster.flex_release.ops", self.flex_releases),
+            ("cluster.loan.ops", self.loans),
+            ("cluster.reclaim.carryovers", self.reclaim_carryovers),
+            ("cluster.reclaim.deadline_misses", self.reclaim_deadline_misses),
+            ("cluster.reclaim.ops", self.reclaims),
+            ("elastic.rendezvous.ops", self.rendezvous),
+            ("faults.injected", self.faults_injected),
+            ("faults.jobs_killed", self.jobs_killed),
+            ("sim.deadline.missed", self.deadlines_missed),
+            ("sim.jobs.admitted", self.admitted),
+            ("sim.jobs.completed", self.completed),
+            ("sim.jobs.preemptions", self.preemptions),
+            ("sim.jobs.started", self.started),
+            ("sim.scale.in", self.scale_ins),
+            ("sim.scale.out", self.scale_outs),
+        ]
+    }
+}
+
+/// The per-run telemetry store: named ring series, cumulative operation
+/// counters and four fixed histograms (epoch span, decision latency,
+/// job completion time, job queued time), folded from the event stream
+/// by [`observe`](Self::observe).
 ///
 /// Everything here is `serde`-serialisable and enters the engine
 /// checkpoint, so a restored run continues sampling exactly where the
@@ -198,17 +285,24 @@ pub struct Telemetry {
     pub epochs: u64,
     /// Named gauge series, in stable (sorted) order.
     series: BTreeMap<String, RingSeries>,
-    /// Loan, reclaim and preemption events since the previous epoch.
-    rates: RateCounts,
+    /// Cumulative operation counts.
+    pub counters: Counters,
+    /// The counters at the previous epoch sample, so each `rate.*`
+    /// series is the change since then.
+    at_last_epoch: Counters,
     /// When the open reclaim carry was first sampled, for
     /// `reclaim.backlog_age_s`; `None` while no debt is open.
     carry_since_ms: Option<u64>,
     /// Simulated time of the previous epoch sample, if any.
     last_sample_ms: Option<u64>,
     /// Simulated span between consecutive epoch samples, milliseconds.
-    pub epoch_span_ms: Log2Histogram,
+    pub epoch_span_ms: Histogram,
     /// Modelled scheduler decision latency per epoch, milliseconds.
-    pub decision_latency_ms: Log2Histogram,
+    pub decision_latency_ms: Histogram,
+    /// Completion time of each completed job, seconds.
+    pub jct_s: Histogram,
+    /// Total queued time of each completed job, seconds.
+    pub queue_s: Histogram,
 }
 
 impl Default for Telemetry {
@@ -225,28 +319,36 @@ impl Telemetry {
             capacity,
             epochs: 0,
             series: BTreeMap::new(),
-            rates: RateCounts::default(),
+            counters: Counters::default(),
+            at_last_epoch: Counters::default(),
             carry_since_ms: None,
             last_sample_ms: None,
             // 1 ms .. ~17.9 min covers epoch spans from sub-second
             // control loops to hourly housekeeping ticks.
-            epoch_span_ms: Log2Histogram::new(0, 20),
+            epoch_span_ms: Histogram::log2(0, 20),
             // 1 ms .. ~65 s covers modelled control-plane latencies.
-            decision_latency_ms: Log2Histogram::new(0, 16),
+            decision_latency_ms: Histogram::log2(0, 16),
+            jct_s: Histogram::new(DURATION_BUCKETS_S),
+            queue_s: Histogram::new(DURATION_BUCKETS_S),
         }
     }
 
-    /// Folds one event at simulated `t_ms`: `LoanGrant`, `ReclaimGrant`
-    /// and `JobPreempt` are counted, and each `SchedulerEpoch` samples
-    /// its gauges, the counted rates and its decision latency.
+    /// Folds one event at simulated `t_ms`: every counted kind bumps
+    /// its counter, `JobComplete` records its completion time, and each
+    /// `SchedulerEpoch` samples its gauges, the counter changes since
+    /// the previous epoch and its decision latency.
     pub fn observe(&mut self, t_ms: u64, event: &SchedEvent) {
+        self.counters.count(event);
         match event {
-            SchedEvent::LoanGrant { .. } => self.rates.loans += 1,
-            SchedEvent::ReclaimGrant { .. } => self.rates.reclaims += 1,
-            SchedEvent::JobPreempt { .. } => self.rates.preemptions += 1,
+            SchedEvent::JobComplete { jct_s, .. } => self.jct_s.observe(*jct_s),
             SchedEvent::SchedulerEpoch(epoch) => self.sample_epoch(t_ms, epoch),
             _ => {}
         }
+    }
+
+    /// Records one completed job's total queued time, milliseconds.
+    pub fn observe_queued(&mut self, queued_ms: u64) {
+        self.queue_s.observe(queued_ms as f64 / 1000.0);
     }
 
     fn sample_epoch(&mut self, t_ms: u64, e: &EpochSample) {
@@ -266,7 +368,8 @@ impl Telemetry {
                 f64::from(used) / f64::from(total)
             }
         };
-        let rates = std::mem::take(&mut self.rates);
+        let now = self.counters;
+        let prev = std::mem::replace(&mut self.at_last_epoch, now);
         let samples = [
             ("util.dedicated", ratio(e.training_used, e.training_total)),
             ("util.loaned", ratio(e.loaned_used, e.loaned_total)),
@@ -279,9 +382,9 @@ impl Telemetry {
             ("reclaim.carry_servers", f64::from(e.carry_servers)),
             ("reclaim.backlog_age_s", backlog_age_s),
             ("frag.index", e.fragmentation),
-            ("rate.loans", rates.loans as f64),
-            ("rate.preemptions", rates.preemptions as f64),
-            ("rate.reclaims", rates.reclaims as f64),
+            ("rate.loans", (now.loans - prev.loans) as f64),
+            ("rate.preemptions", (now.preemptions - prev.preemptions) as f64),
+            ("rate.reclaims", (now.reclaims - prev.reclaims) as f64),
         ];
         for (name, value) in samples {
             self.sample_gauge(name, t_ms, value);
@@ -413,7 +516,7 @@ mod tests {
 
     #[test]
     fn log2_histogram_buckets_powers_of_two() {
-        let mut h = Log2Histogram::new(0, 3); // bounds 1,2,4,8
+        let mut h = Histogram::log2(0, 3); // bounds 1,2,4,8
         assert_eq!(h.bounds, vec![1.0, 2.0, 4.0, 8.0]);
         for v in [0.5, 2.0, 3.0, 100.0] {
             h.observe(v);
@@ -454,6 +557,40 @@ mod tests {
         assert_eq!(values("rate.preemptions"), vec![0.0, 1.0, 0.0]);
         assert_eq!(values("rate.reclaims"), vec![0.0, 0.0, 0.0]);
         assert_eq!(t.epochs, 3);
+        assert_eq!((t.counters.loans, t.counters.preemptions), (5, 1));
+    }
+
+    #[test]
+    fn counters_count_only_their_event_kind() {
+        let mut t = Telemetry::new(16);
+        let fault = |kind: &str| SchedEvent::Fault {
+            kind: kind.to_string(),
+            target: 0,
+        };
+        for ev in [
+            fault("injected"),
+            fault("job_killed"),
+            fault("restart"),
+            fault("server_crash"),
+            SchedEvent::JobAdmit { job: 1 },
+            SchedEvent::JobComplete { job: 1, jct_s: 90.0 },
+        ] {
+            t.observe(0, &ev);
+        }
+        let nonzero: Vec<(&str, u64)> =
+            t.counters.named().into_iter().filter(|(_, v)| *v > 0).collect();
+        assert_eq!(
+            nonzero,
+            vec![
+                ("faults.injected", 1),
+                ("faults.jobs_killed", 1),
+                ("sim.jobs.admitted", 1),
+                ("sim.jobs.completed", 1),
+            ]
+        );
+        assert_eq!(t.jct_s.counts[1], 1, "90 s falls in the 300 s bucket");
+        let names: Vec<&str> = t.counters.named().iter().map(|(n, _)| *n).collect();
+        assert!(names.is_sorted(), "exposition order is sorted: {names:?}");
     }
 
     #[test]

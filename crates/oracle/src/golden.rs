@@ -58,7 +58,7 @@ pub struct GoldenCase {
 
 impl GoldenCase {
     /// Runs the scenario under full observation and returns the whole
-    /// report (event log, telemetry series, registry snapshots, …).
+    /// report (event log, telemetry series and counters, attribution, …).
     pub fn observed_report(&self) -> Result<SimReport, String> {
         run_scenario_observed(
             &self.scenario,

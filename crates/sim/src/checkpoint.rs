@@ -43,8 +43,11 @@ use std::path::Path;
 /// folded the observer's trackers into one `EventFolds` and moved the
 /// telemetry gauges into the every-epoch `SchedulerEpoch` event; version
 /// 8 added the cluster state's touched servers and jobs and the usage of
-/// its last incremental audit.
-pub const CHECKPOINT_VERSION: u32 = 8;
+/// its last incremental audit; version 9 dropped the observer's metrics
+/// registry and hourly snapshots, whose counters and duration histograms
+/// now live in the telemetry fold (and each lifecycle job carries its
+/// queued time).
+pub const CHECKPOINT_VERSION: u32 = 9;
 
 /// File-type tag in the header line.
 const MAGIC: &str = "lyra-checkpoint";

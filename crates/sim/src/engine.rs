@@ -40,7 +40,7 @@ use lyra_core::snapshot::{
 use lyra_core::tuning::GoodputModel;
 use lyra_elastic::controller::ElasticController;
 use lyra_elastic::hetero::{hetero_rate_scaled, HeteroGroup};
-use lyra_obs::{EventLog, MetricsRegistry, MetricsSnapshot, SchedEvent};
+use lyra_obs::{EventLog, SchedEvent};
 use lyra_predictor::RuntimeEstimator;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -250,8 +250,8 @@ impl SimJob {
     }
 }
 
-/// Configuration of the attached observer (event log, metrics
-/// registry, decision audit trail, telemetry and alerts). See
+/// Configuration of the attached observer (event log, decision audit
+/// trail, the folds over the emitted events and alerts). See
 /// [`Simulation::with_observer`].
 #[derive(Debug, Clone)]
 pub struct ObserverConfig {
@@ -275,15 +275,10 @@ impl Default for ObserverConfig {
 /// exported in the report's `events`.
 const EVENT_RING_CAPACITY: usize = 1 << 16;
 
-/// Attached observability state: the structured event log, the metrics
-/// registry with its hourly snapshots, and the folds over the emitted
-/// events.
+/// Attached observability state: the structured event log and the
+/// folds over the emitted events.
 struct Observer {
     log: EventLog,
-    metrics: MetricsRegistry,
-    snapshots: Vec<MetricsSnapshot>,
-    /// Next simulated hour to snapshot.
-    next_hour: u64,
     /// Delay attribution, decision provenance and telemetry, fed from
     /// `emit` with each event's seq (its `DecisionId`), so they see every
     /// event even when the ring buffer drops old lines.
@@ -294,12 +289,6 @@ struct Observer {
     /// `SchedulerEpoch` (each epoch carries the delta).
     rm_latency_seen_s: f64,
 }
-
-/// Fixed histogram bucket bounds for job-level durations, seconds
-/// (1 min … 7 days, then overflow).
-const DURATION_BUCKETS_S: &[f64] = &[
-    60.0, 300.0, 900.0, 3_600.0, 7_200.0, 21_600.0, 43_200.0, 86_400.0, 172_800.0, 604_800.0,
-];
 
 /// Error from the simulation (policy/cluster inconsistencies).
 #[derive(Debug)]
@@ -357,9 +346,6 @@ struct SnapshotCache {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ObserverState {
     log: lyra_obs::EventLogState,
-    metrics: MetricsRegistry,
-    snapshots: Vec<MetricsSnapshot>,
-    next_hour: u64,
     folds: lyra_obs::EventFolds,
     alerts: lyra_obs::AlertEngine,
     rm_latency_seen_s: f64,
@@ -492,7 +478,7 @@ pub struct Simulation {
     /// every worker-count transition so the per-epoch demand check is
     /// O(1) instead of a walk over the running set.
     elastic_headroom_gpus: u64,
-    /// Attached observability (event log + metrics + audit); `None`
+    /// Attached observability (event log + folds + audit); `None`
     /// keeps the hot path free of instrumentation.
     observer: Option<Observer>,
     /// Per-phase span profile collected at the end of an observed run.
@@ -633,10 +619,11 @@ impl Simulation {
     }
 
     /// Attaches an observer: the structured event log (ring buffer plus
-    /// optional JSONL file sink), the metrics registry snapshotted per
-    /// simulated hour, the decision audit trail and span timing for the
-    /// hot paths. The report then carries `events`, `metrics` and
-    /// `profile`.
+    /// optional JSONL file sink), the decision audit trail, span timing
+    /// for the hot paths, and the folds over the emitted events —
+    /// attribution, provenance and telemetry (series, operation
+    /// counters and duration histograms). The report then carries
+    /// `events`, `telemetry`, `attribution`, `provenance` and `profile`.
     ///
     /// # Errors
     ///
@@ -646,14 +633,8 @@ impl Simulation {
         if let Some(path) = &cfg.sink_path {
             log = log.with_sink(path)?;
         }
-        let mut metrics = MetricsRegistry::default();
-        metrics.histogram_register("sim.jct_s", DURATION_BUCKETS_S);
-        metrics.histogram_register("sim.queue_s", DURATION_BUCKETS_S);
         self.observer = Some(Observer {
             log,
-            metrics,
-            snapshots: Vec::new(),
-            next_hour: 0,
             folds: lyra_obs::EventFolds::new(cfg.provenance),
             alerts: lyra_obs::AlertEngine::default(),
             rm_latency_seen_s: 0.0,
@@ -671,21 +652,6 @@ impl Simulation {
             Some(obs.log.emit(time_ms, ev))
         } else {
             None
-        }
-    }
-
-    /// Increments a registry counter (no-op without an observer).
-    fn count(&mut self, name: &str) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.metrics.counter_inc(name);
-        }
-    }
-
-    /// Observes a value into a registered histogram (no-op without an
-    /// observer).
-    fn observe_histogram(&mut self, name: &str, value: f64) {
-        if let Some(obs) = self.observer.as_mut() {
-            obs.metrics.histogram_observe(name, value);
         }
     }
 
@@ -775,41 +741,6 @@ impl Simulation {
                 }
             }
         }
-    }
-
-    /// Snapshots the metrics registry for every completed simulated hour
-    /// up to `up_to_s`, stamping point-in-time gauges first.
-    fn snapshot_metrics(&mut self, up_to_s: f64) {
-        let Some(obs) = self.observer.as_ref() else {
-            return;
-        };
-        let mut hour = obs.next_hour;
-        if up_to_s < (hour + 1) as f64 * 3600.0 {
-            return;
-        }
-        let queue_depth = self.queue.len() as f64;
-        let running = self.running_jobs.len() as f64;
-        let loaned = f64::from(self.cluster.loaned_count());
-        let (train_used, train_total) = self.cluster.gpu_usage(PoolKind::Training);
-        let (loan_used, loan_total) = self.cluster.gpu_usage(PoolKind::OnLoan);
-        let obs = self.observer.as_mut().expect("checked above");
-        obs.metrics.gauge_set("sim.queue.depth", queue_depth);
-        obs.metrics.gauge_set("sim.jobs.running", running);
-        obs.metrics.gauge_set("cluster.loaned.servers", loaned);
-        obs.metrics
-            .gauge_set("cluster.training.used_gpus", f64::from(train_used));
-        obs.metrics
-            .gauge_set("cluster.training.total_gpus", f64::from(train_total));
-        obs.metrics
-            .gauge_set("cluster.on_loan.used_gpus", f64::from(loan_used));
-        obs.metrics
-            .gauge_set("cluster.on_loan.total_gpus", f64::from(loan_total));
-        while (hour + 1) as f64 * 3600.0 <= up_to_s {
-            let snap = obs.metrics.snapshot(hour);
-            obs.snapshots.push(snap);
-            hour += 1;
-        }
-        obs.next_hour = hour;
     }
 
     /// Bounds-checked job lookup (trace ids are dense `0..n`).
@@ -1219,7 +1150,6 @@ impl Simulation {
                         on_loan,
                         servers,
                     });
-                    self.count("sim.jobs.started");
                     // Announce the launch pause split by cause: the
                     // fixed launch delay, then any carried resume
                     // overhead (checkpoint restore / restart).
@@ -1311,14 +1241,12 @@ impl Simulation {
                         on_loan,
                         servers,
                     });
-                    self.count("sim.scale.out");
                     if self.jobs[idx].controller.is_some() && pause > 0.0 {
                         self.emit(SchedEvent::ControllerRescale {
                             job: job.0,
                             workers: workers_now,
                             pause_s: pause,
                         });
-                        self.count("elastic.rendezvous.ops");
                     }
                     self.emit_stall(job.0, lyra_obs::DelayCause::Rendezvous, pause);
                     self.emit_stall(job.0, lyra_obs::DelayCause::LaunchOverhead, expand_cost);
@@ -1390,14 +1318,12 @@ impl Simulation {
                         delta: removed,
                         workers: workers_now,
                     });
-                    self.count("sim.scale.in");
                     if self.jobs[idx].controller.is_some() && pause > 0.0 {
                         self.emit(SchedEvent::ControllerRescale {
                             job: job.0,
                             workers: workers_now,
                             pause_s: pause,
                         });
-                        self.count("elastic.rendezvous.ops");
                     }
                     // A policy scale-in means the knapsack withdrew
                     // flexible workers this round.
@@ -1473,7 +1399,6 @@ impl Simulation {
                 server: server.0,
                 workers,
             });
-            self.count("cluster.flex_release.ops");
             if self.jobs[idx].controller.is_some() && pause > 0.0 {
                 let workers_now = self.jobs[idx].workers;
                 self.emit(SchedEvent::ControllerRescale {
@@ -1481,7 +1406,6 @@ impl Simulation {
                     workers: workers_now,
                     pause_s: pause,
                 });
-                self.count("elastic.rendezvous.ops");
             }
             self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, pause);
             self.emit_stall(job.0, lyra_obs::DelayCause::LoanScaleIn, shrink_cost);
@@ -1544,7 +1468,6 @@ impl Simulation {
                 checkpointed,
                 decision,
             });
-            self.count("sim.jobs.preemptions");
         }
         Ok(())
     }
@@ -1571,7 +1494,6 @@ impl Simulation {
                 kind: "injected".to_string(),
                 target: i as u64,
             });
-            self.count("faults.injected");
         }
         match event.kind {
             FaultKind::ServerCrash {
@@ -1866,7 +1788,6 @@ impl Simulation {
                 kind: "restart".to_string(),
                 target: job.0,
             });
-            self.count("faults.jobs_killed");
         }
         Ok(())
     }
@@ -1915,7 +1836,6 @@ impl Simulation {
                 servers: unmet,
                 deadline_s,
             });
-            self.count("cluster.reclaim.carryovers");
         }
     }
 
@@ -2091,7 +2011,6 @@ impl Simulation {
         if let Some(owed) = self.reclaim_ledger.take_expired(self.now_s) {
             self.fault_stats.reclaim_deadline_violations += 1;
             self.emit(SchedEvent::ReclaimDeadlineMiss { servers: owed });
-            self.count("cluster.reclaim.deadline_misses");
         }
         match instruction {
             LoanInstruction::Loan(offered) => {
@@ -2121,7 +2040,6 @@ impl Simulation {
                             if self.observer.is_some() {
                                 let servers = ids.iter().map(|s| s.0).collect();
                                 self.emit(SchedEvent::LoanGrant { servers });
-                                self.count("cluster.loan.ops");
                             }
                         }
                     }
@@ -2197,7 +2115,6 @@ impl Simulation {
                             preempted,
                             collateral_gpus: outcome.collateral_gpus,
                         });
-                        self.count("cluster.reclaim.ops");
                     }
                 }
                 // Any victims named by audits but not ultimately
@@ -2277,9 +2194,6 @@ impl Simulation {
                 .jct_s()
                 .unwrap_or_else(|| self.now_s - self.jobs[idx].spec.submit_time_s);
             self.emit(SchedEvent::JobComplete { job, jct_s });
-            self.count("sim.jobs.completed");
-            self.observe_histogram("sim.jct_s", jct_s);
-            self.observe_histogram("sim.queue_s", record.queue_s);
             if let Some(deadline_s) = record.deadline_s {
                 if self.now_s > deadline_s {
                     self.emit(SchedEvent::DeadlineMiss {
@@ -2287,7 +2201,6 @@ impl Simulation {
                         deadline_s,
                         late_s: self.now_s - deadline_s,
                     });
-                    self.count("sim.deadline.missed");
                 }
             }
         }
@@ -2351,9 +2264,6 @@ impl Simulation {
             orchestrator_rng: self.orchestrator.as_ref().map(|o| o.rng_state()),
             observer: self.observer.as_mut().map(|o| ObserverState {
                 log: o.log.capture_state(),
-                metrics: o.metrics.clone(),
-                snapshots: o.snapshots.clone(),
-                next_hour: o.next_hour,
                 folds: o.folds.clone(),
                 alerts: o.alerts.clone(),
                 rm_latency_seen_s: o.rm_latency_seen_s,
@@ -2409,9 +2319,6 @@ impl Simulation {
             Some(os) => Some(Observer {
                 log: EventLog::from_state(os.log)
                     .map_err(|e| SimError(format!("restoring the event-log sink: {e}")))?,
-                metrics: os.metrics,
-                snapshots: os.snapshots,
-                next_hour: os.next_hour,
                 folds: os.folds,
                 alerts: os.alerts,
                 rm_latency_seen_s: os.rm_latency_seen_s,
@@ -2519,7 +2426,7 @@ impl Simulation {
                 if self.scheduler_crash_at(i) {
                     // The scheduler process dies *between* events: state
                     // is captured before any of this event's bookkeeping
-                    // (usage integrals, clock, metrics) runs, so the
+                    // (usage integrals, clock, events) runs, so the
                     // crash perturbs nothing observable. The crash event
                     // itself was consumed above and is deliberately not
                     // part of the captured queue.
@@ -2539,7 +2446,6 @@ impl Simulation {
             }
             self.advance_usage(t);
             self.now_s = t;
-            self.snapshot_metrics(t);
             match event.kind {
                 EventKind::Arrival(idx) => {
                     self.arrived += 1;
@@ -2547,7 +2453,6 @@ impl Simulation {
                     if self.observer.is_some() {
                         let job = self.jobs[idx].spec.id.0;
                         self.emit(SchedEvent::JobAdmit { job });
-                        self.count("sim.jobs.admitted");
                     }
                 }
                 EventKind::Finish(idx, generation) => {
@@ -2627,10 +2532,9 @@ impl Simulation {
     }
 
     /// Closes out an observed run: drains pending audit records, settles
-    /// and reconciles the delay attribution, forces a snapshot covering
-    /// the final partial hour, flushes the sink and collects the span
-    /// profile, then disables the thread-local collectors so unobserved
-    /// runs on this thread stay clean.
+    /// and reconciles the delay attribution, flushes the sink and
+    /// collects the span profile, then disables the thread-local
+    /// collectors so unobserved runs on this thread stay clean.
     ///
     /// # Errors
     ///
@@ -2651,10 +2555,6 @@ impl Simulation {
                     .map_err(|e| SimError(format!("delay attribution does not reconcile: {e}")))?;
             }
             self.attribution = lyra_obs::summarize(&attrs);
-        }
-        let close_at = (self.observer.as_ref().map_or(0, |o| o.next_hour) + 1) as f64 * 3600.0;
-        self.snapshot_metrics(close_at);
-        if let Some(obs) = self.observer.as_mut() {
             obs.log.flush();
         }
         self.profile = lyra_obs::span::take_profile();
@@ -2746,11 +2646,6 @@ impl Simulation {
                 .observer
                 .as_ref()
                 .map(|o| o.log.lines().map(str::to_string).collect())
-                .unwrap_or_default(),
-            metrics: self
-                .observer
-                .as_ref()
-                .map(|o| o.snapshots.clone())
                 .unwrap_or_default(),
             profile: self.profile.clone(),
             attribution: self.attribution.clone(),

@@ -119,8 +119,8 @@ pub enum FaultKind {
     DropOrchestratorTick,
     /// The scheduler process itself dies: the engine snapshots its
     /// complete state and aborts the run at this instant. The crash is
-    /// invisible to every observable output (event log, counters,
-    /// metrics) — the contract is that a resumed run is byte-identical
+    /// invisible to every observable output (event log, telemetry,
+    /// report) — the contract is that a resumed run is byte-identical
     /// to an uninterrupted one, so the crash must not perturb either.
     SchedulerCrash,
 }

@@ -355,8 +355,6 @@ pub struct SimReport {
     /// Structured event log (JSONL lines from the observer's ring
     /// buffer; empty when no observer was attached).
     pub events: Vec<String>,
-    /// Hourly metrics-registry snapshots (empty without an observer).
-    pub metrics: Vec<lyra_obs::MetricsSnapshot>,
     /// Per-phase self-time profile of an observed run. Carries
     /// wall-clock data, so it compares equal to any other profile —
     /// same-seed reports stay `==`.
@@ -367,8 +365,9 @@ pub struct SimReport {
     /// [`lyra_obs::attribute_log`].
     pub attribution: lyra_obs::AttributionSummary,
     /// Per-epoch scheduler-health time series (ring series with
-    /// deterministic decimation plus the epoch-span / decision-latency
-    /// histograms; empty without an observer). Fully deterministic, so
+    /// deterministic decimation), cumulative operation counters and the
+    /// epoch-span, decision-latency, JCT and queued-time histograms
+    /// (empty without an observer). Fully deterministic, so
     /// it participates in report equality.
     pub telemetry: lyra_obs::Telemetry,
     /// Decision-provenance graph built online by the observer (empty
@@ -437,16 +436,15 @@ impl SimReport {
                 check(&mut bad, &format!("telemetry.{name}[{i}]"), p.value);
             }
         }
-        check(
-            &mut bad,
-            "telemetry.epoch_span_ms.sum",
-            self.telemetry.epoch_span_ms.sum,
-        );
-        check(
-            &mut bad,
-            "telemetry.decision_latency_ms.sum",
-            self.telemetry.decision_latency_ms.sum,
-        );
+        let t = &self.telemetry;
+        for (name, h) in [
+            ("epoch_span_ms", &t.epoch_span_ms),
+            ("decision_latency_ms", &t.decision_latency_ms),
+            ("jct_s", &t.jct_s),
+            ("queue_s", &t.queue_s),
+        ] {
+            check(&mut bad, &format!("telemetry.{name}.sum"), h.sum);
+        }
         for r in &self.records {
             check(&mut bad, &format!("records[{:?}].submit_s", r.id), r.submit_s);
             check(&mut bad, &format!("records[{:?}].queue_s", r.id), r.queue_s);
@@ -717,7 +715,6 @@ mod tests {
             deadlines: DeadlineStats::default(),
             records,
             events: vec![],
-            metrics: vec![],
             profile: lyra_obs::Profile::default(),
             attribution: lyra_obs::AttributionSummary::default(),
             telemetry: lyra_obs::Telemetry::default(),

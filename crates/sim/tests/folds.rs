@@ -77,3 +77,20 @@ fn live_equals_replay_when_jobs_are_left_unfinished() {
     );
     assert_live_equals_replay(&r, &parsed).unwrap_or_else(|e| panic!("{e:?}"));
 }
+
+#[test]
+fn folded_counters_reconcile_with_report_accounting() {
+    let (r, _) = observed_run((17, 23, 1.0, 8.0, 0.5), None);
+    let c = &r.telemetry.counters;
+    let preemptions: u64 = r.records.iter().map(|j| u64::from(j.preemptions)).sum();
+    assert!(
+        c.loans > 0 && c.reclaims > 0 && preemptions > 0 && c.jobs_killed > 0,
+        "the scenario must exercise every reconciled counter: {c:?}"
+    );
+    assert_eq!(c.completed, r.completed as u64, "sim.jobs.completed");
+    assert_eq!(c.loans, r.loan_ops as u64, "cluster.loan.ops");
+    assert_eq!(c.reclaims, r.reclaim_ops as u64, "cluster.reclaim.ops");
+    assert_eq!(c.preemptions, preemptions, "sim.jobs.preemptions");
+    assert_eq!(c.faults_injected, u64::from(r.fault.injected), "faults.injected");
+    assert_eq!(c.jobs_killed, u64::from(r.fault.jobs_killed), "faults.jobs_killed");
+}
